@@ -26,11 +26,10 @@ from .builder import (
 )
 from .decoder import (
     CodeDecoder,
-    Correction,
     CosetTrellis,
     DecodeProblem,
+    TrellisLimitError,
     decode,
-    min_weight_coset,
     pure_error,
 )
 from .distance import (
@@ -57,8 +56,8 @@ __all__ = [
     "TileGraph", "build_tiling", "counts",
     "HolographicCode", "build_code", "network_state", "contract_pair",
     "extract_code", "css_split",
-    "CodeDecoder", "CosetTrellis", "DecodeProblem", "Correction",
-    "decode", "min_weight_coset", "pure_error",
+    "CodeDecoder", "CosetTrellis", "DecodeProblem", "TrellisLimitError",
+    "decode", "pure_error",
     "DistanceResult", "bit_distance", "word_distance",
     "fit_distance_scaling",
     "FailureCurve", "WeightRecord", "sample_fixed_weight_error",

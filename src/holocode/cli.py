@@ -5,7 +5,7 @@ plotdata, reproduce.  Flags override values from an optional JSON config
 file (--config), which override defaults; every run writes a manifest
 holding the fully resolved configuration so it can be replayed with
 --config manifest.json.  Exit codes: 0 success, 2 invariant failure,
-3 solver budget exceeded, 4 bad input.
+3 trellis state limit exceeded, 4 bad input.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .builder import DEFAULT_SEEDS, HolographicCode, build_code
-from .decoder import CodeDecoder
+from .decoder import CodeDecoder, TrellisLimitError
 from .distance import bit_distance, fit_distance_scaling, word_distance
 from .gf2 import PauliVector
 from .seeds import (
@@ -38,7 +38,7 @@ from .tiling import REFERENCE_BOUNDARY_COUNTS, SUPPORTED, build_tiling, counts
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
-EXIT_TIMEOUT = 3
+EXIT_STATE_LIMIT = 3
 EXIT_BAD_INPUT = 4
 
 
@@ -163,11 +163,10 @@ def _parse_syndrome(text, bits):
 
 def cmd_decode(args):
     code = HolographicCode.load(args.code)
-    dec = CodeDecoder(code, objective=args.objective, timeout=args.timeout,
-                      engine="search")
+    dec = CodeDecoder(code, objective=args.objective)
     n_checks = code.n - code.k
     y = _parse_syndrome(args.syndrome, n_checks)
-    if code.css and args.mode != "symplectic":
+    if code.css:
         nx = dec.sx.n_rows
         syn = (y & ((1 << nx) - 1), y >> nx)
     else:
@@ -176,7 +175,7 @@ def cmd_decode(args):
     print(f"correction: {corr.to_string()}")
     print(f"weight: {corr.weight()}")
     print(f"certified: {certified}")
-    return EXIT_OK if certified else EXIT_TIMEOUT
+    return EXIT_OK
 
 
 # -- distance ---------------------------------------------------------------
@@ -191,20 +190,16 @@ def cmd_distance(args):
     else:
         qubits = [int(args.qubit)]
     rows = []
-    any_uncertified = False
     for q in qubits:
-        db = bit_distance(code, q, sector=args.sector, timeout=args.timeout)
+        db = bit_distance(code, q, sector=args.sector)
         row = {"family": code.family, "variant": code.variant,
                "R": code.radius, "n": code.n, "qubit": q,
                "layer": code.logicals[q].layer,
                "bit_distance": db.value, "bit_certified": db.certified}
         if code.k > 1:
-            dw = word_distance(code, q, sector=args.sector,
-                               timeout=args.timeout)
+            dw = word_distance(code, q, sector=args.sector)
             row["word_distance"] = dw.value
             row["word_certified"] = dw.certified
-            any_uncertified |= not dw.certified
-        any_uncertified |= not db.certified
         rows.append(row)
         print(json.dumps(row, sort_keys=True))
     if args.out:
@@ -212,10 +207,10 @@ def cmd_distance(args):
             json.dump(rows, fh, indent=1, sort_keys=True)
             fh.write("\n")
         keys = ["family", "variant", "radius", "seed_code", "qubit",
-                "sector", "timeout", "out"]
+                "sector", "out"]
         _write_manifest(args.out + ".manifest.json", "distance",
                         _resolved(args, keys))
-    return EXIT_TIMEOUT if any_uncertified else EXIT_OK
+    return EXIT_OK
 
 
 # -- simulate / threshold / plotdata ----------------------------------------
@@ -230,17 +225,14 @@ def cmd_simulate(args):
     curve = simulate_code(
         code, target_qubit=target, trials_per_weight=args.trials_per_weight,
         seed=args.seed, weights=weights, threads=args.threads,
-        timeout=args.timeout,
     )
     write_curve_csv(curve, args.out)
     keys = ["family", "variant", "radius", "seed_code", "weights",
-            "trials_per_weight", "seed", "target", "timeout", "out"]
+            "trials_per_weight", "seed", "target", "out"]
     config = _resolved(args, keys)
     _write_manifest(args.out + ".manifest.json", "simulate", config)
-    timeouts = sum(r.timeouts for r in curve.records)
-    print(f"wrote {args.out} ({len(curve.records)} weights, "
-          f"{timeouts} decoder timeouts)")
-    return EXIT_OK if timeouts == 0 else EXIT_TIMEOUT
+    print(f"wrote {args.out} ({len(curve.records)} weights)")
+    return EXIT_OK
 
 
 def cmd_threshold(args):
@@ -298,46 +290,41 @@ def cmd_reproduce(args):
 
 def _reproduce_table3(args):
     rows = []
-    rc = EXIT_OK
     for fam, var in (("heptagon", "max"), ("pentagon", "reduced"),
                      ("pentagon", "zero")):
         for R in range(1, args.max_radius + 1):
             if R > DESK_SCALE_RADIUS:
                 print(f"warning: {fam}/{var} R={R} is above desk scale; "
-                      "results may be uncertified", file=sys.stderr)
+                      "the trellis may exceed its state limit",
+                      file=sys.stderr)
             code = build_code(fam, var, R)
-            db = bit_distance(code, 0, timeout=args.timeout)
+            db = bit_distance(code, 0)
             row = {"family": fam, "variant": var, "R": R, "n": code.n,
                    "k": code.k, "bit_distance": db.value,
                    "bit_certified": db.certified}
             if code.k > 1:
-                dw = word_distance(code, 0, timeout=args.timeout)
+                dw = word_distance(code, 0)
                 row.update(word_distance=dw.value, word_certified=dw.certified)
             rows.append(row)
             print(json.dumps(row, sort_keys=True))
-            if not db.certified:
-                rc = EXIT_TIMEOUT
     path = os.path.join(args.out_dir, "table3.json")
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=1, sort_keys=True)
         fh.write("\n")
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
-                    _resolved(args, ["id", "max_radius", "timeout", "out_dir"]))
-    return rc
+                    _resolved(args, ["id", "max_radius", "out_dir"]))
+    return EXIT_OK
 
 
 def _reproduce_fig5(args):
     points_b = []
     points_w = []
-    rc = EXIT_OK
     for R in range(1, args.max_radius + 1):
         code = build_code("heptagon", "max", R)
-        db = bit_distance(code, 0, timeout=args.timeout)
-        dw = word_distance(code, 0, timeout=args.timeout)
+        db = bit_distance(code, 0)
+        dw = word_distance(code, 0)
         points_b.append((code.n, db.value, db.certified))
         points_w.append((code.n, dw.value, dw.certified))
-        if not (db.certified and dw.certified):
-            rc = EXIT_TIMEOUT
     out = {"bit_points": points_b, "word_points": points_w}
     cert_b = [(n, d) for n, d, c in points_b if c]
     cert_w = [(n, d) for n, d, c in points_w if c]
@@ -354,17 +341,20 @@ def _reproduce_fig5(args):
     with open(os.path.join(args.out_dir, "fig5.json"), "w") as fh:
         fh.write(text + "\n")
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
-                    _resolved(args, ["id", "max_radius", "timeout", "out_dir"]))
-    return rc
+                    _resolved(args, ["id", "max_radius", "out_dir"]))
+    return EXIT_OK
 
 
 def _reproduce_fig3(args):
-    spec = {
-        "fig3a": ("heptagon", "max", None),
-        "fig3b": ("pentagon", "reduced", None),
-        "fig3c": ("pentagon", "zero", None),
+    # Default radii per figure: the reduced-rate R=2 and R=3 curves do
+    # not cross, so fig3b pairs the same-parity radii 1 and 3.
+    fam, var, default_radii = {
+        "fig3a": ("heptagon", "max", "2,3"),
+        "fig3b": ("pentagon", "reduced", "1,3"),
+        "fig3c": ("pentagon", "zero", "1,2"),
     }[args.id]
-    fam, var, _ = spec
+    if args.radii is None:
+        args.radii = default_radii
     radii = [int(r) for r in args.radii.split(",")]
     curves = []
     rc = EXIT_OK
@@ -375,8 +365,7 @@ def _reproduce_fig3(args):
         code = build_code(fam, var, R)
         curve = simulate_code(code, target_qubit=0,
                               trials_per_weight=args.trials, seed=args.seed,
-                              weights="auto", threads=args.threads,
-                              timeout=args.timeout)
+                              weights="auto", threads=args.threads)
         path = os.path.join(args.out_dir, f"{args.id}_R{R}.csv")
         write_curve_csv(curve, path)
         print(f"wrote {path}")
@@ -397,7 +386,7 @@ def _reproduce_fig3(args):
         fh.write(text + "\n")
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
                     _resolved(args, ["id", "radii", "trials", "seed",
-                                     "timeout", "out_dir"]))
+                                     "out_dir"]))
     return rc
 
 
@@ -432,10 +421,8 @@ def make_parser():
     p.add_argument("--code", required=True, help="code file prefix")
     p.add_argument("--syndrome", required=True,
                    help="binary (left-to-right, X checks first) or hex")
-    p.add_argument("--mode", choices=["css", "symplectic"], default="css")
     p.add_argument("--objective", choices=["hamming", "pauli"],
                    default="pauli")
-    p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("distance", help="bit/word distances")
@@ -443,7 +430,6 @@ def make_parser():
     p.add_argument("--qubit", default="central",
                    help="central, all, or a qubit index")
     p.add_argument("--sector", choices=["x", "z", "min"], default="min")
-    p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_distance)
 
@@ -456,7 +442,6 @@ def make_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="central")
     p.add_argument("--threads", type=int, default=_threads_default())
-    p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -476,11 +461,12 @@ def make_parser():
     p = sub.add_parser("reproduce", help="canned desk-scale pipelines")
     p.add_argument("id", choices=["table3", "fig3a", "fig3b", "fig3c", "fig5"])
     p.add_argument("--max-radius", dest="max_radius", type=int, default=3)
-    p.add_argument("--radii", default="2,3")
+    p.add_argument("--radii", default=None,
+                   help="comma-separated radii (default: 2,3 for fig3a, "
+                        "1,3 for fig3b, 1,2 for fig3c)")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_threads_default())
-    p.add_argument("--timeout", type=float, default=3600.0)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.set_defaults(func=cmd_reproduce)
 
@@ -523,6 +509,9 @@ def main(argv=None) -> int:
         args.out_dir = f"reproduce_{args.id}"
     try:
         return args.func(args)
+    except TrellisLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STATE_LIMIT
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -3,25 +3,34 @@
 A syndrome is mapped to a pure error through the inverse syndrome former
 (the GF(2) right inverse of the check matrix); the minimum-weight element
 of the coset spanned by stabilizer and logical generators is then found
-exactly, either by depth-first branch and bound over the binary
-combination coefficients or by a Viterbi sweep over a precomputed minimal
-trellis (the hot path).  Unless a search times out, the returned weight
-carries an optimality certificate.
+exactly by a Viterbi sweep over a precomputed minimal trellis
+(``CosetTrellis``).  The same minimizer serves decoding and distances.
+A trellis whose state profile exceeds its limit raises
+``TrellisLimitError`` instead of returning an uncertified answer.
 
 The same minimization can be phrased as a standard integer linear
 program for users who prefer an external solver: minimize sum_i w_i
 subject to w = e + G.x - 2t with x in {0,1}^|G|, t integer slack and
-0 <= w <= 1 componentwise.  Nothing here requires it; the in-house
-solvers are exact.
+0 <= w <= 1 componentwise.  Nothing here requires it; the trellis is
+exact.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .gf2 import Decomposer, Gf2Matrix, PauliVector, right_inverse
 from .builder import HolographicCode, css_split
+
+
+class TrellisLimitError(ValueError):
+    """The minimal trellis needs more states than its limit allows."""
+
+
+def _fold(v: int, fold_shift: int | None) -> int:
+    if fold_shift is None:
+        return v
+    return (v | (v >> fold_shift)) & ((1 << fold_shift) - 1)
 
 
 @dataclass
@@ -45,33 +54,7 @@ class DecodeProblem:
         return self.fold(v).bit_count()
 
     def fold(self, v: int) -> int:
-        if self.fold_shift is None:
-            return v
-        return (v | (v >> self.fold_shift)) & ((1 << self.fold_shift) - 1)
-
-
-@dataclass
-class Correction:
-    """Result of a coset search: vector, weight and the coefficients used."""
-
-    vector: int
-    weight: int
-    stab_coeffs: int
-    logical_coeffs: int
-    certificate: bool
-    nodes: int = 0
-
-    def coefficient_bits(self, n_stab: int) -> int:
-        return self.stab_coeffs | (self.logical_coeffs << n_stab)
-
-
-class _Timeout(Exception):
-    pass
-
-
-class _Found(Exception):
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
+        return _fold(v, self.fold_shift)
 
 
 def pure_error(F: Gf2Matrix, y: int) -> int:
@@ -81,113 +64,15 @@ def pure_error(F: Gf2Matrix, y: int) -> int:
     return F.mul_vec(y)
 
 
-def _mat_vec(F: Gf2Matrix, y: int) -> int:
-    return F.mul_vec(y)
-
-
-def min_weight_coset(problem: DecodeProblem, timeout: float | None = 60.0,
-                     tie_break: str = "lex") -> Correction:
-    """Globally minimize weight(target + sum of chosen generators).
-
-    Exact branch and bound: generators are branched in order of descending
-    support overlap with the current residual, and a subtree is cut when
-    the residual weight on positions no remaining generator can touch
-    already reaches the incumbent.  With ``tie_break="lex"`` a second
-    sweep finds the lexicographically smallest coefficient vector among
-    the optima (stabilizer coefficients first, in row order).
-    """
-    gens = problem.gens
-    G = len(gens)
-    fold = problem.fold
-    gfold = [fold(g) for g in gens]
-    deadline = None if timeout is None else time.monotonic() + timeout
-
-    best_w = problem.weight_of(problem.target)
-    best_c = 0
-    used = [False] * G
-    nodes = 0
-    timed_out = False
-
-    def search(residual, rfold, coeffs):
-        nonlocal best_w, best_c, nodes
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _Timeout
-        w = rfold.bit_count()
-        if w < best_w:
-            best_w = w
-            best_c = coeffs
-        if best_w == 0:
-            return
-        union = 0
-        pick = -1
-        pick_ov = -1
-        for i in range(G):
-            if used[i]:
-                continue
-            gf = gfold[i]
-            union |= gf
-            ov = (rfold & gf).bit_count()
-            if ov > pick_ov:
-                pick_ov = ov
-                pick = i
-        if (rfold & ~union).bit_count() >= best_w:
-            return
-        if pick < 0:
-            return
-        used[pick] = True
-        r2 = residual ^ gens[pick]
-        rf2 = fold(r2)
-        if rf2.bit_count() < w:
-            search(r2, rf2, coeffs | (1 << pick))
-            search(residual, rfold, coeffs)
-        else:
-            search(residual, rfold, coeffs)
-            search(r2, rf2, coeffs | (1 << pick))
-        used[pick] = False
-
-    try:
-        search(problem.target, fold(problem.target), 0)
-        certified = True
-    except _Timeout:
-        certified = False
-        timed_out = True
-
-    if certified and tie_break == "lex":
-        best_c = _lex_optimum(problem, gens, gfold, best_w, deadline)
-        if best_c is None:  # timed out during the lex sweep
-            certified = False
-            timed_out = True
-            best_c = 0
-
-    vec = problem.target
-    c = best_c
-    while c:
-        i = c.bit_length() - 1
-        c ^= 1 << i
-        vec ^= gens[i]
-    smask = (1 << problem.n_stab) - 1
-    return Correction(
-        vector=vec,
-        weight=problem.weight_of(vec) if not timed_out else best_w,
-        stab_coeffs=best_c & smask,
-        logical_coeffs=best_c >> problem.n_stab,
-        certificate=certified,
-        nodes=nodes,
-    )
-
-
-def _minimal_span(rows, track=False):
+def _minimal_span(rows):
     """Row-reduce integer rows so all lowest and all highest set bits are
     distinct (minimal-span generator form).  Exactness of the sweep does
     not depend on this; it only shrinks the state profile.
 
-    With ``track=True`` returns (rows, combos, dropped) where combos[i] is
-    the mask of original rows XORed into reduced row i, and dependent
-    input rows are dropped instead of raising.
+    Returns (rows, combos), where combos[i] is the mask of original rows
+    XORed into reduced row i; dependent input rows are dropped.
     """
     work = [(r, 1 << i) for i, r in enumerate(rows)]
-    dropped = []
     for _ in range(16 * len(rows) + 16):
         changed = False
         by_start = {}
@@ -205,9 +90,6 @@ def _minimal_span(rows, track=False):
                 cmb ^= c2
                 changed = True
             else:
-                if not track:
-                    raise ValueError("dependent generators in sweep solver")
-                dropped.append(cmb)
                 changed = True
         work = keep
         by_end = {}
@@ -233,104 +115,8 @@ def _minimal_span(rows, track=False):
                     raise AssertionError("unexpected cancellation in span form")
             work[i] = (r, cmb)
         if not changed:
-            if track:
-                return [r for r, _ in work], [c for _, c in work], dropped
-            return [r for r, _ in work]
+            return [r for r, _ in work], [c for _, c in work]
     raise AssertionError("minimal-span reduction did not converge")
-
-
-def min_weight_sweep(problem: DecodeProblem, upper: int | None = None,
-                     timeout: float | None = None,
-                     state_limit: int = 4_000_000):
-    """Exact coset minimum via a column-sweep dynamic program.
-
-    Equivalent to exhausting the 2^|G| combinations, but partial
-    combinations that agree on every position still reachable by the
-    remaining generators are merged, so the state count is bounded by the
-    trellis profile of the generator matrix instead of 2^|G|.  ``upper``
-    may give a known achievable weight to tighten pruning.  Returns
-    (weight, certified); an uncertified result is only the best bound
-    known when the state or time budget ran out.
-    """
-    target = problem.target
-    best = problem.weight_of(target)
-    if upper is not None:
-        best = min(best, upper)
-    if not problem.gens:
-        return best, True
-    deadline = None if timeout is None else time.monotonic() + timeout
-
-    if problem.fold_shift is None:
-        def remap_vec(v):
-            return v
-
-        def fold(v):
-            return v
-
-        def expand(m):
-            return m
-    else:
-        # Interleave x/z halves so qubit q owns bits 2q (x) and 2q+1 (z);
-        # folding and freezing then act on whole qubits.
-        n = problem.fold_shift
-        even = sum(1 << (2 * i) for i in range(n))
-        nmask = (1 << n) - 1
-
-        def remap_vec(v):
-            x = v & nmask
-            z = v >> n
-            out = 0
-            while x:
-                b = x & -x
-                x ^= b
-                out |= b * b
-            while z:
-                b = z & -z
-                z ^= b
-                out |= 2 * b * b
-            return out
-
-        def fold(v):
-            return (v | (v >> 1)) & even
-
-        def expand(m):
-            return m | (m << 1)
-
-    rows = _minimal_span([remap_vec(g) for g in problem.gens])
-    rows.sort(key=lambda r: r & -r)
-    t = remap_vec(target)
-
-    suffix = [0] * (len(rows) + 1)
-    for i in range(len(rows) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | rows[i]
-
-    act = expand(fold(suffix[0]))
-    frozen0 = fold(t & ~act).bit_count()
-    states = {t & act: frozen0} if frozen0 < best else {}
-    certified = True
-    for i, row in enumerate(rows):
-        if deadline is not None and time.monotonic() > deadline:
-            return best, False
-        act_next = expand(fold(suffix[i + 1]))
-        new = {}
-        get = new.get
-        for st, fw in states.items():
-            for cand in (st, st ^ row):
-                val = fw + fold(cand & ~act_next).bit_count()
-                if val >= best:
-                    continue
-                key = cand & act_next
-                old = get(key)
-                if old is None or old > val:
-                    new[key] = val
-        states = new
-        if len(states) > state_limit:
-            return best, False
-        if not states:
-            break
-    if states:
-        best = min(best, min(states.values()))
-    return best, certified
 
 
 class CosetTrellis:
@@ -343,6 +129,8 @@ class CosetTrellis:
     stays small and a sweep costs milliseconds.  The trellis (branch,
     parity and merge schedules) depends only on the generators and is
     reused across targets; ``minimize`` is exact for every target.
+    Construction raises ``TrellisLimitError`` when some column needs more
+    than ``state_limit`` states.
     """
 
     def __init__(self, gens, width: int, fold_shift: int | None = None,
@@ -382,7 +170,7 @@ class CosetTrellis:
         self.stride = stride
         self.positions = positions
 
-        rows, combos, dropped = _minimal_span(rows, track=True)
+        rows, combos = _minimal_span(rows)
         self.rows = rows
         self.combos = combos
         order = sorted(range(len(rows)),
@@ -407,7 +195,9 @@ class CosetTrellis:
             for i in start_at[p]:
                 active.append(i)
                 if 1 << len(active) > state_limit:
-                    raise ValueError("trellis state limit exceeded")
+                    raise TrellisLimitError(
+                        f"trellis needs 2^{len(active)} states at position "
+                        f"{p}, above the limit of {state_limit}")
                 self.schedule.append(("branch", i))
             size = 1 << len(active)
             idx = np.arange(size, dtype=np.uint32)
@@ -508,41 +298,11 @@ class CosetTrellis:
         return weight, combo
 
 
-def _lex_optimum(problem, gens, gfold, best_w, deadline):
-    """First coefficient vector of weight best_w in lexicographic DFS order."""
-    G = len(gens)
-    fold = problem.fold
-    suffix_union = [0] * (G + 1)
-    for i in range(G - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | gfold[i]
-    nodes = 0
-
-    def walk(i, residual, rfold, coeffs):
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise _Timeout
-        if (rfold & ~suffix_union[i]).bit_count() > best_w:
-            return
-        if i == G:
-            if rfold.bit_count() == best_w:
-                raise _Found(coeffs)
-            return
-        walk(i + 1, residual, rfold, coeffs)
-        r2 = residual ^ gens[i]
-        walk(i + 1, r2, fold(r2), coeffs | (1 << i))
-
-    try:
-        walk(0, problem.target, fold(problem.target), 0)
-    except _Found as f:
-        return f.coeffs
-    except _Timeout:
-        return None
-    raise AssertionError("lex sweep found no optimum at the certified weight")
 
 
 class CodeDecoder:
-    """Per-code decoding context with precomputed check matrices and ISFs.
+    """Per-code decoding context with precomputed check matrices, ISFs
+    and coset trellises.
 
     For CSS codes the two sectors are decoded independently and the
     objective flag is irrelevant.  For non-CSS codes the default objective
@@ -551,14 +311,9 @@ class CodeDecoder:
     treats a Y as two errors and cannot always correct single-qubit Ys.
     """
 
-    def __init__(self, code: HolographicCode, objective: str = "pauli",
-                 timeout: float | None = 60.0, tie_break: str = "lex",
-                 engine: str = "trellis"):
+    def __init__(self, code: HolographicCode, objective: str = "pauli"):
         self.code = code
         self.objective = objective
-        self.timeout = timeout
-        self.tie_break = tie_break
-        self.engine = engine
         n = code.n
         self.n = n
         if code.css:
@@ -573,6 +328,10 @@ class CodeDecoder:
             self.x_gens = [s.x for s in code.stabilizers if s.x] + x_reps
             self.nz_stab = sum(1 for s in code.stabilizers if s.z)
             self.nx_stab = sum(1 for s in code.stabilizers if s.x)
+            self._trellises = (
+                CosetTrellis(self.z_gens, n),
+                CosetTrellis(self.x_gens, n),
+            )
         else:
             self.mode = "symplectic"
             rows = [s.z | (s.x << n) for s in code.stabilizers]
@@ -584,28 +343,16 @@ class CodeDecoder:
                 gens.append(lq.z_rep.x | (lq.z_rep.z << n))
             self.sym_gens = gens
             self.n_stab = len(code.stabilizers)
-        self._trellises = None
-        if engine == "trellis":
-            try:
-                if self.mode == "css":
-                    self._trellises = (
-                        CosetTrellis(self.z_gens, n),
-                        CosetTrellis(self.x_gens, n),
-                    )
-                else:
-                    fold = n if objective == "pauli" else None
-                    self._trellises = (
-                        CosetTrellis(self.sym_gens, 2 * n, fold_shift=fold),
-                    )
-            except ValueError:
-                self._trellises = None  # fall back to the search engine
+            fold = n if objective == "pauli" else None
+            self._trellises = (
+                CosetTrellis(self.sym_gens, 2 * n, fold_shift=fold),
+            )
         rows = [s.x | (s.z << n) for s in code.stabilizers]
         for lq in code.logicals:
             rows.append(lq.x_rep.x | (lq.x_rep.z << n))
         for lq in code.logicals:
             rows.append(lq.z_rep.x | (lq.z_rep.z << n))
         self._decomposer = Decomposer(rows, 2 * n)
-        self._stab_rows = [(s.x, s.z) for s in code.stabilizers]
 
     # -- syndromes ---------------------------------------------------------
 
@@ -621,87 +368,47 @@ class CodeDecoder:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode(self, syndrome, mle: bool = True):
+    def decode(self, syndrome):
         """Return (correction PauliVector, certificate flag).
 
         CSS mode expects the (x-check, z-check) syndrome pair and solves
         the two sectors independently; symplectic mode solves one joint
-        problem over 2n binary variables.
+        problem over 2n binary variables.  The trellis is exact, so the
+        flag is always True; it is kept for callers that record it.
         """
         if self.mode == "css":
             yx, yz = syndrome
-            ez = _mat_vec(self.fx, yx)
+            ez = self.fx.mul_vec(yx)
             if self.sx.mul_vec(ez) != yx:
                 raise AssertionError("pure error does not satisfy the syndrome")
-            ex = _mat_vec(self.fz, yz)
+            ex = self.fz.mul_vec(yz)
             if self.sz.mul_vec(ex) != yz:
                 raise AssertionError("pure error does not satisfy the syndrome")
-            if self._trellises is not None and mle:
-                vz = self._apply(self._trellises[0], self.z_gens, ez)
-                vx = self._apply(self._trellises[1], self.x_gens, ex)
-                return PauliVector(self.n, vx, vz), True
-            zg = self.z_gens if mle else self.z_gens[: self.nz_stab]
-            xg = self.x_gens if mle else self.x_gens[: self.nx_stab]
-            pz = DecodeProblem(ez, zg, self.n, self.nz_stab)
-            px = DecodeProblem(ex, xg, self.n, self.nx_stab)
-            cz = min_weight_coset(pz, self.timeout, self.tie_break)
-            cx = min_weight_coset(px, self.timeout, self.tie_break)
-            corr = PauliVector(self.n, cx.vector, cz.vector)
-            return corr, cz.certificate and cx.certificate
+            vz = self._apply(self._trellises[0], self.z_gens, ez)
+            vx = self._apply(self._trellises[1], self.x_gens, ex)
+            return PauliVector(self.n, vx, vz), True
         y = syndrome
-        e = _mat_vec(self.f, y)
+        e = self.f.mul_vec(y)
         if self.h.mul_vec(e) != y:
             raise AssertionError("pure error does not satisfy the syndrome")
-        if self._trellises is not None and mle:
-            v = self._apply(self._trellises[0], self.sym_gens, e)
-            nmask = (1 << self.n) - 1
-            return PauliVector(self.n, v & nmask, v >> self.n), True
-        fold = self.n if self.objective == "pauli" else None
-        prob = DecodeProblem(e, self.sym_gens, 2 * self.n, self.n_stab,
-                             fold_shift=fold)
-        c = min_weight_coset(prob, self.timeout, self.tie_break)
-        corr = PauliVector(self.n, c.vector & ((1 << self.n) - 1),
-                           c.vector >> self.n)
-        return corr, c.certificate
+        v = self._apply(self._trellises[0], self.sym_gens, e)
+        nmask = (1 << self.n) - 1
+        return PauliVector(self.n, v & nmask, v >> self.n), True
 
     @staticmethod
-    def _apply(trellis: "CosetTrellis", gens, target: int) -> int:
-        _, combo = trellis.minimize(target)
+    def _apply(trellis: CosetTrellis, gens, target: int) -> int:
+        weight, combo = trellis.minimize(target)
         v = target
         while combo:
             i = combo.bit_length() - 1
             combo ^= 1 << i
             v ^= gens[i]
+        if _fold(v, trellis.fold_shift).bit_count() != weight:
+            raise AssertionError("trellis weight differs from its correction's")
         return v
 
     def decode_error(self, err: PauliVector):
         return self.decode(self.syndrome(err))
-
-    def decode_corrections(self, syndrome, mle: bool = True):
-        """Per-sector Correction objects with coefficient vectors.
-
-        Always uses the reference search engine (with its lexicographic
-        tie-break), so the stabilizer/logical coefficients are exposed;
-        CSS codes return [Z-error sector, X-error sector], non-CSS codes
-        a single joint entry.
-        """
-        if self.mode == "css":
-            yx, yz = syndrome
-            ez = _mat_vec(self.fx, yx)
-            ex = _mat_vec(self.fz, yz)
-            zg = self.z_gens if mle else self.z_gens[: self.nz_stab]
-            xg = self.x_gens if mle else self.x_gens[: self.nx_stab]
-            return [
-                min_weight_coset(DecodeProblem(ez, zg, self.n, self.nz_stab),
-                                 self.timeout, "lex"),
-                min_weight_coset(DecodeProblem(ex, xg, self.n, self.nx_stab),
-                                 self.timeout, "lex"),
-            ]
-        e = _mat_vec(self.f, syndrome)
-        fold = self.n if self.objective == "pauli" else None
-        prob = DecodeProblem(e, self.sym_gens, 2 * self.n, self.n_stab,
-                             fold_shift=fold)
-        return [min_weight_coset(prob, self.timeout, "lex")]
 
     # -- logical effect ----------------------------------------------------
 
@@ -726,7 +433,7 @@ class CodeDecoder:
         return effects
 
 
-def decode(code: HolographicCode, syndrome, objective: str = "pauli",
-           timeout: float | None = 60.0) -> PauliVector:
+def decode(code: HolographicCode, syndrome,
+           objective: str = "pauli") -> PauliVector:
     """One-shot decode; prefer CodeDecoder for repeated use."""
-    return CodeDecoder(code, objective, timeout).decode(syndrome)[0]
+    return CodeDecoder(code, objective).decode(syndrome)[0]

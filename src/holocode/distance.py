@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import HolographicCode, css_split
-from .decoder import DecodeProblem, min_weight_coset, min_weight_sweep
+from .decoder import CosetTrellis, DecodeProblem
 
 
 @dataclass
@@ -23,13 +23,8 @@ class DistanceResult:
     qubit: int
     sector: str  # "x", "z" or "pauli"
     kind: str  # "bit" or "word"
-    value: int  # exact when certified, else best upper bound
-    certified: bool
-    lower: int = 1  # trivial lower bound when not certified
-
-    @property
-    def bracket(self):
-        return (self.value if self.certified else self.lower, self.value)
+    value: int
+    certified: bool  # always True: the trellis minimum is exact
 
 
 def _sector_problem(code, qubit, sector, include_other_logicals):
@@ -63,34 +58,12 @@ def _symplectic_problem(code, qubit, include_other_logicals, objective):
     return DecodeProblem(target_v, gens, 2 * n, n_stab, fold_shift=fold)
 
 
-def _run(problem, timeout):
-    """Trellis sweep when the profile is manageable, otherwise depth-first
-    search followed by the generator-sweep with the search incumbent."""
-    import time as _time
-
-    from .decoder import CosetTrellis
-
-    start = _time.monotonic()
-    if len(problem.gens) <= 16:
-        corr = min_weight_coset(problem, timeout, tie_break="first")
-        return corr.weight, corr.certificate
-    try:
-        trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
-        w, _ = trellis.minimize(problem.target)
-        return w, True
-    except ValueError:
-        pass
-    budget = 3.0 if timeout is None else min(3.0, timeout / 4)
-    corr = min_weight_coset(problem, budget, tie_break="first")
-    if corr.certificate:
-        return corr.weight, True
-    left = None if timeout is None else timeout - (_time.monotonic() - start)
-    w, cert = min_weight_sweep(problem, upper=corr.weight, timeout=left)
-    return min(w, corr.weight), cert
+def _run(problem):
+    trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
+    return trellis.minimize(problem.target)[0]
 
 
 def bit_distance(code: HolographicCode, qubit: int = 0, sector: str = "min",
-                 timeout: float | None = 3600.0,
                  objective: str = "pauli") -> DistanceResult:
     """Minimum weight of qubit i's logical class modulo stabilizers only.
 
@@ -99,30 +72,27 @@ def bit_distance(code: HolographicCode, qubit: int = 0, sector: str = "min",
     over the full symplectic vector, by default minimizing Pauli weight;
     ``objective="hamming"`` counts a Y as two errors instead.
     """
-    return _distance(code, qubit, sector, False, timeout, objective, "bit")
+    return _distance(code, qubit, sector, False, objective, "bit")
 
 
 def word_distance(code: HolographicCode, qubit: int = 0, sector: str = "min",
-                  timeout: float | None = 3600.0,
                   objective: str = "pauli") -> DistanceResult:
     """Minimum weight of any logical operator with support on qubit i."""
-    return _distance(code, qubit, sector, True, timeout, objective, "word")
+    return _distance(code, qubit, sector, True, objective, "word")
 
 
-def _distance(code, qubit, sector, with_others, timeout, objective, kind):
+def _distance(code, qubit, sector, with_others, objective, kind):
     if not 0 <= qubit < code.k:
         raise ValueError("qubit index out of range")
     if code.css:
         if sector in ("x", "z"):
-            prob = _sector_problem(code, qubit, sector, with_others)
-            w, cert = _run(prob, timeout)
-            return DistanceResult(qubit, sector, kind, w, cert)
-        wx, cx = _run(_sector_problem(code, qubit, "x", with_others), timeout)
-        wz, cz = _run(_sector_problem(code, qubit, "z", with_others), timeout)
-        return DistanceResult(qubit, "min", kind, min(wx, wz), cx and cz)
-    prob = _symplectic_problem(code, qubit, with_others, objective)
-    w, cert = _run(prob, timeout)
-    return DistanceResult(qubit, "pauli", kind, w, cert)
+            w = _run(_sector_problem(code, qubit, sector, with_others))
+            return DistanceResult(qubit, sector, kind, w, True)
+        wx = _run(_sector_problem(code, qubit, "x", with_others))
+        wz = _run(_sector_problem(code, qubit, "z", with_others))
+        return DistanceResult(qubit, "min", kind, min(wx, wz), True)
+    w = _run(_symplectic_problem(code, qubit, with_others, objective))
+    return DistanceResult(qubit, "pauli", kind, w, True)
 
 
 def fit_distance_scaling(points):

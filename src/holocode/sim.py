@@ -33,7 +33,7 @@ class WeightRecord:
     a: int
     m: int
     f: int
-    timeouts: int = 0
+    timeouts: int = 0  # always 0; kept as a column of saved curve CSVs
 
     @property
     def p(self) -> float:
@@ -168,30 +168,25 @@ def _code_key(code: HolographicCode, target: int) -> str:
 def _run_chunk(decoder, code_key, target, a, trials, seed):
     n = decoder.n
     fails = 0
-    timeouts = 0
     for t in trials:
         rng = _trial_rng(seed, code_key, a, t)
         err = sample_fixed_weight_error(n, a, rng)
         syn = decoder.syndrome(err)
-        corr, certified = decoder.decode(syn)
+        corr, _ = decoder.decode(syn)
         net = err.mul(corr)
         if not decoder.syndrome_is_zero(net):
             raise AssertionError("correction does not satisfy the syndrome")
-        if not certified:
-            timeouts += 1
-            fails += 1
-            continue
         effect = decoder.net_logical_effect(net)
         if effect[target] != "I":
             fails += 1
-    return fails, timeouts
+    return fails
 
 
 _WORKER = {}
 
 
-def _worker_init(code, objective, timeout):
-    _WORKER["decoder"] = CodeDecoder(code, objective=objective, timeout=timeout)
+def _worker_init(code, objective):
+    _WORKER["decoder"] = CodeDecoder(code, objective=objective)
 
 
 def _worker_chunk(args):
@@ -202,24 +197,21 @@ def _worker_chunk(args):
 
 def run_trials(code: HolographicCode, target_qubit: int, a: int, m: int,
                seed: int, decoder: CodeDecoder | None = None,
-               objective: str = "pauli",
-               timeout: float | None = 60.0) -> WeightRecord:
+               objective: str = "pauli") -> WeightRecord:
     """m decode trials at fixed error weight a; failures counted on the
-    target qubit.  Decoder timeouts count as failures and are also
-    tallied separately."""
+    target qubit."""
     if m < 1:
         raise ValueError("need at least one trial")
-    dec = decoder or CodeDecoder(code, objective=objective, timeout=timeout)
-    f, t = _run_chunk(dec, _code_key(code, target_qubit), target_qubit, a,
-                      range(m), seed)
-    return WeightRecord(a, m, f, t)
+    dec = decoder or CodeDecoder(code, objective=objective)
+    f = _run_chunk(dec, _code_key(code, target_qubit), target_qubit, a,
+                   range(m), seed)
+    return WeightRecord(a, m, f)
 
 
 def simulate_code(code: HolographicCode, target_qubit: int = 0,
                   trials_per_weight: int = 1000, seed: int = 0,
                   weights="auto", threads: int = 1,
                   objective: str = "pauli",
-                  timeout: float | None = 60.0,
                   chunk: int = 200) -> FailureCurve:
     """Estimate P_failure(a, n) over an error-weight schedule.
 
@@ -237,28 +229,25 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     if threads > 1:
         pool = ProcessPoolExecutor(
             max_workers=threads, initializer=_worker_init,
-            initargs=(code, objective, timeout),
+            initargs=(code, objective),
         )
     else:
-        dec = CodeDecoder(code, objective=objective, timeout=timeout)
+        dec = CodeDecoder(code, objective=objective)
 
     def measure(a_list, m):
         tasks = []
         for a in sorted(a_list):
             for lo in range(0, m, chunk):
                 tasks.append((key, target_qubit, a, lo, min(lo + chunk, m), seed))
-        tally = {a: [0, 0] for a in a_list}
+        tally = {a: 0 for a in a_list}
         if pool is not None:
-            for a, (f, t) in pool.map(_worker_chunk, tasks):
-                tally[a][0] += f
-                tally[a][1] += t
+            results = pool.map(_worker_chunk, tasks)
         else:
-            for args in tasks:
-                a, (f, t) = _worker_chunk_local(dec, args)
-                tally[a][0] += f
-                tally[a][1] += t
+            results = (_worker_chunk_local(dec, args) for args in tasks)
+        for a, f in results:
+            tally[a] += f
         for a in sorted(a_list):
-            curve.records.append(WeightRecord(a, m, tally[a][0], tally[a][1]))
+            curve.records.append(WeightRecord(a, m, tally[a]))
 
     try:
         if weights == "all" or (weights == "auto" and n <= 50):

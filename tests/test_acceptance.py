@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from holocode.builder import build_code, css_split
-from holocode.decoder import CodeDecoder, DecodeProblem, min_weight_coset, pure_error
+from holocode.decoder import CodeDecoder, CosetTrellis, DecodeProblem, pure_error
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
 from holocode.seeds import (
@@ -25,6 +25,7 @@ from holocode.seeds import (
 )
 from holocode.sim import simulate_code, write_curve_csv
 from holocode.tiling import REFERENCE_BOUNDARY_COUNTS, build_tiling, counts
+from oracles import exhaustive_min
 
 
 def report(criterion, text):
@@ -128,65 +129,52 @@ def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(2024)
     total = 0
 
-    def exhaustive(problem):
-        best = problem.weight_of(problem.target)
-        for mask in range(1 << len(problem.gens)):
-            v = problem.target
-            m = mask
-            while m:
-                i = m.bit_length() - 1
-                m ^= 1 << i
-                v ^= problem.gens[i]
-            best = min(best, problem.weight_of(v))
-        return best
-
     # Single tiles: literal 2^|G| enumeration, both sectors / joint.
     for name in ("steane", "scf", "five_qubit"):
         fam = "heptagon" if name == "steane" else "pentagon"
         code = build_code(fam, "max", 1, name)
-        dec = CodeDecoder(code, engine="search")
+        dec = CodeDecoder(code)
         if code.css:
             for gens, n_stab, checks in (
                 (dec.z_gens, dec.nz_stab, dec.sx),
                 (dec.x_gens, dec.nx_stab, dec.sz),
             ):
                 F = right_inverse(checks)
+                trellis = CosetTrellis(gens, code.n)
                 for _ in range(500):
                     y = int(rng.integers(0, 1 << checks.n_rows))
                     e = pure_error(F, y)
                     prob = DecodeProblem(e, gens, code.n, n_stab)
-                    got = min_weight_coset(prob).weight
-                    assert got == exhaustive(prob)
+                    got = trellis.minimize(e)[0]
+                    assert got == exhaustive_min(prob)
                     total += 1
         else:
             F = dec.f
+            trellis = CosetTrellis(dec.sym_gens, 2 * code.n, fold_shift=code.n)
             for _ in range(1000):
                 y = int(rng.integers(0, 1 << dec.h.n_rows))
                 e = pure_error(F, y)
                 prob = DecodeProblem(e, dec.sym_gens, 2 * code.n, dec.n_stab,
                                      fold_shift=code.n)
-                got = min_weight_coset(prob).weight
-                assert got == exhaustive(prob)
+                got = trellis.minimize(e)[0]
+                assert got == exhaustive_min(prob)
                 total += 1
 
     # Heptagon R=2 sector problems: exhaustive-equivalent coset-leader BFS.
     code = build_code("heptagon", "max", 2)
-    dec = CodeDecoder(code, engine="search")
-    for gens, n_stab, checks in (
-        (dec.z_gens, dec.nz_stab, dec.sx),
-        (dec.x_gens, dec.nx_stab, dec.sz),
-    ):
+    dec = CodeDecoder(code)
+    for gens, checks in ((dec.z_gens, dec.sx), (dec.x_gens, dec.sz)):
         H, dist = _coset_leader_table(gens, code.n)
         F = right_inverse(checks)
+        trellis = CosetTrellis(gens, code.n)
         for _ in range(500):
             y = int(rng.integers(0, 1 << checks.n_rows))
             e = pure_error(F, y)
-            prob = DecodeProblem(e, gens, code.n, n_stab)
-            got = min_weight_coset(prob, timeout=120).weight
+            got = trellis.minimize(e)[0]
             oracle = int(dist[H.mul_vec(e)])
             assert got == oracle
             total += 1
-    report(4, f"solver matches exhaustive enumeration on {total} syndromes")
+    report(4, f"trellis matches exhaustive enumeration on {total} syndromes")
 
 
 # -- 5: distances -------------------------------------------------------------
@@ -211,10 +199,10 @@ def distance_results():
     for (family, variant), rows in DISTANCE_TABLE.items():
         for radius, expected in rows.items():
             code = build_code(family, variant, radius)
-            db = bit_distance(code, 0, timeout=600)
+            db = bit_distance(code, 0)
             # with a single logical qubit the word distance has an empty
             # mu sum and coincides with the bit distance
-            dw = word_distance(code, 0, timeout=600) if expected[1] is not None else None
+            dw = word_distance(code, 0) if expected[1] is not None else None
             results[(family, variant, radius)] = (code.n, db, dw)
     results["elapsed"] = time.monotonic() - start
     return results
@@ -238,11 +226,11 @@ def test_criterion_5_stretch_radius_four():
     lines = []
     for (family, variant), (db_e, dw_e) in STRETCH_TABLE.items():
         code = build_code(family, variant, 4)
-        db = bit_distance(code, 0, timeout=1800)
+        db = bit_distance(code, 0)
         assert db.value == db_e and db.certified, (family, variant, db)
         line = f"{family}/{variant}: dB={db.value}"
         if dw_e is not None:
-            dw = word_distance(code, 0, timeout=1800)
+            dw = word_distance(code, 0)
             assert dw.value == dw_e and dw.certified
             line += f" dW={dw.value}"
         lines.append(line)

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from holocode.builder import HolographicCode
 from holocode.cli import main
+from holocode.decoder import CodeDecoder
 
 
 def run(argv, capsys):
@@ -65,6 +67,44 @@ def test_decode_binary_syndrome(tmp_path, capsys):
                         capsys)
     assert rc == 0
     assert "weight: 1" in stdout
+
+
+def test_decode_non_css_code_matches_decoder(tmp_path, capsys):
+    out = str(tmp_path / "zero1")
+    run(["build", "--family", "pentagon", "--variant", "zero", "--radius",
+         "1", "--out", out], capsys)
+    code = HolographicCode.load(out)
+    assert not code.css
+    dec = CodeDecoder(code)
+    for y in range(1 << (code.n - code.k)):
+        rc, stdout, _ = run(["decode", "--code", out, "--syndrome", hex(y)],
+                            capsys)
+        assert rc == 0
+        corr, _ = dec.decode(y)
+        assert f"correction: {corr.to_string()}" in stdout
+        assert f"weight: {corr.weight()}" in stdout
+
+
+def test_decode_mode_flag_is_gone(tmp_path, capsys):
+    out = str(tmp_path / "code")
+    run(["build", "--family", "heptagon", "--variant", "max", "--radius", "1",
+         "--out", out], capsys)
+    rc, _, _ = run(["decode", "--code", out, "--syndrome", "0x1",
+                    "--mode", "symplectic"], capsys)
+    assert rc == 4
+
+
+def test_trellis_state_limit_exits_3(monkeypatch, capsys):
+    import holocode.distance as distance
+
+    real = distance.CosetTrellis
+    monkeypatch.setattr(distance, "CosetTrellis",
+                        lambda *a, **k: real(*a, state_limit=4, **k))
+    rc, stdout, err = run(["distance", "--family", "heptagon", "--variant",
+                           "max", "--radius", "2"], capsys)
+    assert rc == 3
+    assert stdout == ""
+    assert "above the limit of 4" in err
 
 
 def test_distance_json(tmp_path, capsys):
@@ -147,6 +187,16 @@ def test_reproduce_fig5_fits(tmp_path, capsys):
     report = json.load(open(os.path.join(outdir, "fig5.json")))
     assert report["bit_points"][0][:2] == [7, 3]
     assert "bit_exponent" in report
+
+
+def test_reproduce_fig3b_default_radii(tmp_path, capsys):
+    outdir = str(tmp_path / "rep3b")
+    run(["reproduce", "fig3b", "--trials", "10", "--threads", "1",
+         "--out-dir", outdir], capsys)
+    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    assert manifest["config"]["radii"] == "1,3"
+    for name in ("fig3b_R1.csv", "fig3b_R3.csv"):
+        assert os.path.exists(os.path.join(outdir, name))
 
 
 def test_unknown_subcommand_is_bad_input(capsys):

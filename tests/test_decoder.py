@@ -1,36 +1,33 @@
-"""Exact MLE decoding: pure errors, coset search, trellis engine."""
+"""Exact MLE decoding: pure errors, the trellis minimizer and its oracles."""
 
-import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holocode.builder import build_code, css_split
 from holocode.decoder import (
     CodeDecoder,
     CosetTrellis,
     DecodeProblem,
-    min_weight_coset,
-    min_weight_sweep,
+    TrellisLimitError,
     pure_error,
 )
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
+from oracles import branch_and_bound_min, exhaustive_min
 
 
-def exhaustive_min(problem):
-    """Brute-force minimum over all 2^|G| coefficient choices."""
-    best = problem.weight_of(problem.target)
-    for mask in range(1 << len(problem.gens)):
-        v = problem.target
-        m = mask
-        while m:
-            i = m.bit_length() - 1
-            m ^= 1 << i
-            v ^= problem.gens[i]
-        w = problem.weight_of(v)
-        if w < best:
-            best = w
-    return best
+def trellis_min(problem):
+    """(weight, corrected vector) from a fresh trellis for ``problem``."""
+    trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
+    w, combo = trellis.minimize(problem.target)
+    v = problem.target
+    while combo:
+        i = combo.bit_length() - 1
+        combo ^= 1 << i
+        v ^= problem.gens[i]
+    return w, v
 
 
 # -- pure_error --------------------------------------------------------------
@@ -63,14 +60,12 @@ def test_pure_error_dimension_check():
         pure_error(f, 0b100)
 
 
-# -- min_weight_coset ---------------------------------------------------------
+# -- the trellis against the oracles -------------------------------------------
 
 
 def test_zero_target_any_generators():
     prob = DecodeProblem(0, [0b1010, 0b0110], 4, 2)
-    corr = min_weight_coset(prob)
-    assert corr.weight == 0 and corr.vector == 0
-    assert corr.stab_coeffs == 0 and corr.certificate
+    assert trellis_min(prob) == (0, 0)
 
 
 def test_steane_z_sector_single_error():
@@ -82,10 +77,9 @@ def test_steane_z_sector_single_error():
     e = pure_error(f, y)
     gens = [s.z for s in code.stabilizers if s.z] + z_reps
     prob = DecodeProblem(e, gens, 7, 3)
-    corr = min_weight_coset(prob)
-    assert corr.weight == 1
-    assert corr.vector == 1 << 1  # the unique weight-1 solution
-    assert corr.certificate
+    w, v = trellis_min(prob)
+    assert w == 1
+    assert v == 1 << 1  # the unique weight-1 solution
     assert exhaustive_min(prob) == 1
 
 
@@ -94,8 +88,7 @@ def test_scf_weight_one_targets_stay_weight_one():
     gens = [s.z for s in code.stabilizers if s.z]  # stabilizers only
     for q in range(5):
         prob = DecodeProblem(1 << q, gens, 5, len(gens))
-        corr = min_weight_coset(prob)
-        assert corr.weight == 1
+        assert trellis_min(prob)[0] == 1
         assert exhaustive_min(prob) == 1
 
 
@@ -105,10 +98,9 @@ def test_oracle_equivalence_random_problems():
         width = rng.randrange(4, 12)
         gens = [rng.getrandbits(width) for _ in range(rng.randrange(1, 9))]
         prob = DecodeProblem(rng.getrandbits(width), gens, width, len(gens))
-        corr = min_weight_coset(prob)
-        assert corr.certificate
-        assert corr.weight == exhaustive_min(prob)
-        assert corr.weight == prob.weight_of(corr.vector)
+        w, v = trellis_min(prob)
+        assert w == exhaustive_min(prob) == branch_and_bound_min(prob)
+        assert w == prob.weight_of(v)
 
 
 def test_pauli_fold_objective():
@@ -118,8 +110,8 @@ def test_pauli_fold_objective():
     gen = 0b1100  # Z on both qubits
     prob_h = DecodeProblem(target, [gen], 2 * n, 1)
     prob_p = DecodeProblem(target, [gen], 2 * n, 1, fold_shift=n)
-    assert min_weight_coset(prob_h).weight == 2
-    assert min_weight_coset(prob_p).weight == 2
+    assert trellis_min(prob_h)[0] == 2
+    assert trellis_min(prob_p)[0] == 2
     # with pauli weight, a Y-only vector still counts its qubits once
     assert prob_p.weight_of(0b1111) == 2
     assert prob_h.weight_of(0b1111) == 4
@@ -134,51 +126,10 @@ def test_monotonicity_adding_generators():
         w_prev = None
         for g_count in range(len(gens) + 1):
             prob = DecodeProblem(target, gens[:g_count], width, g_count)
-            w = min_weight_coset(prob).weight
+            w = trellis_min(prob)[0]
             if w_prev is not None:
                 assert w <= w_prev
             w_prev = w
-
-
-def test_lex_tie_break_smallest_coefficients():
-    # two identical generators: including either alone is optimal; the
-    # coefficient vector (0, 1) precedes (1, 0) lexicographically
-    prob = DecodeProblem(0b11, [0b11, 0b11], 2, 2)
-    corr = min_weight_coset(prob, tie_break="lex")
-    assert corr.weight == 0
-    assert corr.stab_coeffs == 0b10
-
-
-def test_timeout_returns_incumbent_uncertified():
-    rng = random.Random(1)
-    width = 60
-    gens = [rng.getrandbits(width) for _ in range(40)]
-    prob = DecodeProblem(rng.getrandbits(width), gens, width, 40)
-    corr = min_weight_coset(prob, timeout=0.0)
-    assert not corr.certificate
-    assert corr.weight >= 0
-
-
-# -- sweep and trellis agree with search --------------------------------------
-
-
-def test_sweep_matches_search_on_random_instances():
-    rng = random.Random(42)
-    for _ in range(30):
-        width = rng.randrange(6, 18)
-        count = rng.randrange(1, 10)
-        gens = []
-        seen = set()
-        for _ in range(count):
-            g = rng.getrandbits(width)
-            gens.append(g)
-        prob = DecodeProblem(rng.getrandbits(width), gens, width, len(gens))
-        w_search = min_weight_coset(prob).weight
-        try:
-            w_sweep, cert = min_weight_sweep(prob)
-        except ValueError:
-            continue  # dependent generators: sweep refuses, search fine
-        assert cert and w_sweep == w_search
 
 
 def test_trellis_matches_search_on_random_instances():
@@ -188,16 +139,9 @@ def test_trellis_matches_search_on_random_instances():
         gens = [rng.getrandbits(width) | 1 << rng.randrange(width)
                 for _ in range(rng.randrange(1, 9))]
         prob = DecodeProblem(rng.getrandbits(width), gens, width, len(gens))
-        trellis = CosetTrellis(prob.gens, prob.width)
-        w, combo = trellis.minimize(prob.target)
-        v = prob.target
-        m = combo
-        while m:
-            i = m.bit_length() - 1
-            m ^= 1 << i
-            v ^= prob.gens[i]
+        w, v = trellis_min(prob)
         assert prob.weight_of(v) == w
-        assert w == min_weight_coset(prob).weight
+        assert w == branch_and_bound_min(prob)
 
 
 def test_trellis_pauli_fold():
@@ -208,9 +152,45 @@ def test_trellis_pauli_fold():
         gens = [g for g in gens if g]
         prob = DecodeProblem(rng.getrandbits(2 * n), gens, 2 * n, len(gens),
                              fold_shift=n)
-        trellis = CosetTrellis(gens, 2 * n, fold_shift=n)
-        w, combo = trellis.minimize(prob.target)
-        assert w == min_weight_coset(prob).weight
+        assert trellis_min(prob)[0] == branch_and_bound_min(prob)
+
+
+def test_trellis_state_limit_raises():
+    # three overlapping rows straddle the middle columns: 2^3 states
+    gens = [0b0001111, 0b0011110, 0b0111100]
+    CosetTrellis(gens, 7, state_limit=8)
+    with pytest.raises(TrellisLimitError, match="above the limit of 4"):
+        CosetTrellis(gens, 7, state_limit=4)
+
+
+@st.composite
+def coset_problems(draw):
+    """Small problems with empty, zero and dependent generator rows."""
+    fold = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    width = 2 * fold if fold else draw(st.integers(1, 10))
+    vec = st.integers(0, (1 << width) - 1)
+    gens = draw(st.lists(vec, max_size=7))
+    if gens and draw(st.booleans()):
+        gens.append(0)
+    if len(gens) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=2))
+        gens.append(a ^ b)
+    gens = draw(st.permutations(gens))
+    return DecodeProblem(draw(vec), gens, width, len(gens), fold_shift=fold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_problems())
+def test_trellis_property_against_brute_force(problem):
+    w, v = trellis_min(problem)
+    assert w == exhaustive_min(problem)
+    assert problem.weight_of(v) == w
+    # v stays in the coset: v ^ target is in the span of the generators
+    rest = v ^ problem.target
+    span = {0}
+    for g in problem.gens:
+        span |= {s ^ g for s in span}
+    assert rest in span
 
 
 # -- decode and logical effects ------------------------------------------------
@@ -234,6 +214,21 @@ def test_decode_corrects_single_z(steane):
     corr, _ = dec.decode(dec.syndrome(err))
     net = err.mul(corr)
     assert dec.net_logical_effect(net) == ["I"]
+
+
+def test_decode_checks_trellis_weight(steane, monkeypatch):
+    code, dec = steane
+    trellis = dec._trellises[0]  # Z-error sector
+    real = trellis.minimize
+
+    def off_by_one(target):
+        w, combo = real(target)
+        return w + 1, combo
+
+    monkeypatch.setattr(trellis, "minimize", off_by_one)
+    err = PauliVector.from_string("IZIIIII")
+    with pytest.raises(AssertionError, match="trellis weight"):
+        dec.decode(dec.syndrome(err))
 
 
 def test_five_qubit_all_single_paulis_corrected():
@@ -276,23 +271,15 @@ def test_decode_syndrome_preserved_on_random_errors():
 def test_trellis_and_search_decoders_agree_on_weights():
     rng = random.Random(3)
     code = build_code("heptagon", "max", 2)
-    dt = CodeDecoder(code, engine="trellis")
-    ds = CodeDecoder(code, engine="search")
+    dec = CodeDecoder(code)
     for _ in range(25):
         err = PauliVector(code.n, rng.getrandbits(code.n),
                           rng.getrandbits(code.n))
-        syn = dt.syndrome(err)
-        ct, _ = dt.decode(syn)
-        cs, _ = ds.decode(syn)
-        assert ct.x.bit_count() + ct.z.bit_count() \
-            == cs.x.bit_count() + cs.z.bit_count()
-
-
-def test_decoder_timeout_counts_as_uncertified():
-    code = build_code("heptagon", "max", 3)
-    dec = CodeDecoder(code, engine="search", timeout=0.0, tie_break="first")
-    rng = random.Random(8)
-    err = PauliVector(code.n, rng.getrandbits(code.n), rng.getrandbits(code.n))
-    corr, cert = dec.decode(dec.syndrome(err))
-    assert not cert
-    assert dec.syndrome(corr) == dec.syndrome(err)
+        yx, yz = dec.syndrome(err)
+        corr, _ = dec.decode((yx, yz))
+        oracle_z = branch_and_bound_min(DecodeProblem(
+            pure_error(dec.fx, yx), dec.z_gens, code.n, dec.nz_stab))
+        oracle_x = branch_and_bound_min(DecodeProblem(
+            pure_error(dec.fz, yz), dec.x_gens, code.n, dec.nx_stab))
+        assert corr.z.bit_count() == oracle_z
+        assert corr.x.bit_count() == oracle_x

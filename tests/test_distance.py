@@ -18,10 +18,10 @@ REFERENCE = {
 def test_small_radius_distances(family, variant):
     for radius, (db_expected, dw_expected) in REFERENCE[(family, variant)].items():
         code = build_code(family, variant, radius)
-        db = bit_distance(code, 0, timeout=120)
+        db = bit_distance(code, 0)
         assert db.certified and db.value == db_expected
         if dw_expected is not None:
-            dw = word_distance(code, 0, timeout=120)
+            dw = word_distance(code, 0)
             assert dw.certified and dw.value == dw_expected
 
 
