@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gf2 import (
-    Decomposer,
     Gf2Matrix,
     PauliVector,
-    kernel,
+    kernel_and_right_inverse,
     parse_tableau,
-    solve,
+    swap_in,
     symplectic_product,
-    vec_from_bits,
 )
 from .seeds import CATALOG, SeedCode, blank_tile, fixed_tile, symplectic_rank
 from .tiling import TileGraph, build_tiling
@@ -57,7 +55,7 @@ def contract_pair(state: NetworkState, leg_a, leg_b) -> NetworkState:
     _project_pair(out.generators, len(out.legs), a, b)
     keep_cols = [i for i in range(len(out.legs)) if i not in (a, b)]
     out.legs = [out.legs[i] for i in keep_cols]
-    out.generators = [_restrict(g, keep_cols) for g in out.generators]
+    out.generators = [g.restrict(keep_cols) for g in out.generators]
     return out
 
 
@@ -76,10 +74,10 @@ def _project_pair(gens: list, width: int, a: int, b: int):
     # Anticommutation with X_aX_b (Z_aZ_b) only needs the z (x) bits at a, b.
     anti = [i for i, g in enumerate(gens)
             if ((g.z >> a) ^ (g.z >> b)) & 1]
-    i1 = _swap_in(gens, m1, anti, set())
+    i1 = swap_in(gens, m1, anti, set())
     anti = [i for i, g in enumerate(gens)
             if ((g.x >> a) ^ (g.x >> b)) & 1]
-    i2 = _swap_in(gens, m2, anti, {i1})
+    i2 = swap_in(gens, m2, anti, {i1})
     for i, g in enumerate(gens):
         if i in (i1, i2):
             continue
@@ -92,42 +90,6 @@ def _project_pair(gens: list, width: int, a: int, b: int):
             raise AssertionError("leg not cleared by pair projection")
     for i in sorted((i1, i2), reverse=True):
         del gens[i]
-
-
-def _swap_in(gens: list, m: PauliVector, anti: list, forbidden: set) -> int:
-    """Make m a generator row: standard measurement update when some row
-    anticommutes, else swap m for a participant of its decomposition."""
-    anti = [i for i in anti if i not in forbidden]
-    if anti:
-        first = anti[0]
-        g0 = gens[first]
-        for i in anti[1:]:
-            gens[i] = gens[i].mul(g0)
-        gens[first] = m
-        return first
-    width = m.n
-    rows = [g.x | (g.z << width) for g in gens]
-    combo = Decomposer(rows, 2 * width).coefficients(m.x | (m.z << width))
-    if combo is None:
-        raise AssertionError("operator neither anticommutes nor decomposes")
-    pick = None
-    c = combo
-    while c:
-        i = c.bit_length() - 1
-        if i not in forbidden:
-            pick = i
-            break
-        c ^= 1 << i
-    if pick is None:
-        raise AssertionError("no replaceable generator for measurement")
-    gens[pick] = m
-    return pick
-
-
-def _restrict(g: PauliVector, cols) -> PauliVector:
-    x = vec_from_bits((g.x >> c) & 1 for c in cols)
-    z = vec_from_bits((g.z >> c) & 1 for c in cols)
-    return PauliVector(len(cols), x, z)
 
 
 def seed_for_tile(base: SeedCode, kind: str, sides: int) -> SeedCode:
@@ -195,7 +157,7 @@ def network_state(graph: TileGraph, seed_map: dict,
         dead.add(index[eb])
     keep = [i for i in range(width) if i not in dead]
     state = NetworkState(
-        [legs[i] for i in keep], [_restrict(g, keep) for g in gens]
+        [legs[i] for i in keep], [g.restrict(keep) for g in gens]
     )
     if len(state.generators) != len(state.legs):
         raise AssertionError("generator count != open leg count")
@@ -300,21 +262,31 @@ class HolographicCode:
         return code
 
 
-def _coeff_kernel(vectors: list, width: int) -> list:
-    """Coefficient masks c with XOR over set bits of c of vectors == 0."""
-    cols = Gf2Matrix(
-        [vec_from_bits((v >> j) & 1 for v in vectors) for j in range(width)],
-        len(vectors),
-    )
-    return kernel(cols)
+def _bulk_combinations(bulk_vecs: list, width: int):
+    """Generator combinations by their action on the bulk legs.
+
+    ``bulk_vecs[i]`` is generator i's bulk part.  Returns coefficient masks
+    for a basis of the combinations acting as identity on the bulk, and,
+    for each bulk bit j, one combination acting as bit j alone (with every
+    free coefficient 0).  Both come from one elimination of the transposed
+    bulk matrix.
+    """
+    try:
+        null, F = kernel_and_right_inverse(
+            Gf2Matrix(bulk_vecs, width).transpose())
+    except ValueError:
+        raise NotIsometryError("missing logical representative") from None
+    return null, F.transpose().rows
 
 
-def _coeff_solve(vectors: list, width: int, target: int):
-    cols = Gf2Matrix(
-        [vec_from_bits((v >> j) & 1 for v in vectors) for j in range(width)],
-        len(vectors),
-    )
-    return solve(cols, target)
+def _combine(vecs: list, c: int) -> int:
+    """XOR of vecs[i] over the set bits of c."""
+    v = 0
+    while c:
+        i = c.bit_length() - 1
+        c ^= 1 << i
+        v ^= vecs[i]
+    return v
 
 
 def _greedy_reduce(rep: PauliVector, rows: list) -> PauliVector:
@@ -348,77 +320,51 @@ def extract_code(state: NetworkState, graph: TileGraph,
     order = list(graph.boundary_legs) + list(graph.bulk_legs)
     index = {leg: i for i, leg in enumerate(state.legs)}
     cols = [index[leg] for leg in order]
-    gens = [_restrict(g, cols) for g in state.generators]
+    gens = [g.restrict(cols) for g in state.generators]
     n = len(graph.boundary_legs)
     k = len(graph.bulk_legs)
     if len(gens) != n + k:
         raise NotIsometryError("open leg count mismatch")
-    bmask = ((1 << k) - 1) << n
+    nmask = (1 << n) - 1
 
-    pure = all(g.x == 0 or g.z == 0 for g in gens)
-    if pure and k >= 0:
-        x_rows = [g for g in gens if g.z == 0]
-        z_rows = [g for g in gens if g.z != 0]
+    if all(g.x == 0 or g.z == 0 for g in gens):
         stab_parts = []
         reps = {}
-        for rows, part in ((x_rows, "x"), (z_rows, "z")):
-            vecs = [(g.x if part == "x" else g.z) for g in rows]
-            bulk_vecs = [v >> n for v in vecs]
-            for c in _coeff_kernel(bulk_vecs, k):
-                v = 0
-                cc = c
-                while cc:
-                    i = cc.bit_length() - 1
-                    cc ^= 1 << i
-                    v ^= vecs[i]
-                stab_parts.append((part, v & ((1 << n) - 1)))
+        for part, vecs in (("x", [g.x for g in gens if g.z == 0]),
+                           ("z", [g.z for g in gens if g.z != 0])):
+            null, units = _bulk_combinations([v >> n for v in vecs], k)
+            for c in null:
+                stab_parts.append((part, _combine(vecs, c) & nmask))
             for ell in range(k):
-                c = _coeff_solve(bulk_vecs, k, 1 << ell)
-                if c is None:
-                    raise NotIsometryError("missing logical representative")
-                v = 0
-                while c:
-                    i = c.bit_length() - 1
-                    c ^= 1 << i
-                    v ^= vecs[i]
-                reps[(part, ell)] = v & ((1 << n) - 1)
+                reps[(part, ell)] = _combine(vecs, units[ell]) & nmask
         stabilizers = [
             PauliVector(n, v, 0) if part == "x" else PauliVector(n, 0, v)
             for part, v in stab_parts
             if v
         ]
-        logicals = []
-        for ell in range(k):
-            logicals.append(
-                (PauliVector(n, reps[("x", ell)], 0), PauliVector(n, 0, reps[("z", ell)]))
-            )
+        logicals = [
+            (PauliVector(n, reps[("x", ell)], 0), PauliVector(n, 0, reps[("z", ell)]))
+            for ell in range(k)
+        ]
     else:
         vecs = [g.x | (g.z << (n + k)) for g in gens]
         # bulk action of a generator: (x on bulk | z on bulk), 2k bits
-        bulk_vecs = [((v >> n) & ((1 << k) - 1)) | (((v >> (2 * n + k)) & ((1 << k) - 1)) << k)
+        kmask = (1 << k) - 1
+        bulk_vecs = [((v >> n) & kmask) | (((v >> (2 * n + k)) & kmask) << k)
                      for v in vecs]
-        nmask = (1 << n) - 1
 
         def combine(c):
-            v = 0
-            while c:
-                i = c.bit_length() - 1
-                c ^= 1 << i
-                v ^= vecs[i]
+            v = _combine(vecs, c)
             return PauliVector(n, v & nmask, (v >> (n + k)) & nmask)
 
+        null, units = _bulk_combinations(bulk_vecs, 2 * k)
         stabilizers = []
-        for c in _coeff_kernel(bulk_vecs, 2 * k):
+        for c in null:
             p = combine(c)
             if p.x or p.z:
                 stabilizers.append(p)
-        logicals = []
-        for ell in range(k):
-            cx = _coeff_solve(bulk_vecs, 2 * k, 1 << ell)
-            cz = _coeff_solve(bulk_vecs, 2 * k, 1 << (k + ell))
-            if cx is None or cz is None:
-                raise NotIsometryError("missing logical representative")
-            logicals.append((combine(cx), combine(cz)))
+        logicals = [(combine(units[ell]), combine(units[k + ell]))
+                    for ell in range(k)]
 
     if len(stabilizers) != n - k:
         raise NotIsometryError(

@@ -473,11 +473,21 @@ def make_parser():
     return top
 
 
+def _subcommand_dests(parser, name):
+    """Argument names the named subcommand defines, or None if unknown."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and name in action.choices:
+            return {a.dest for a in action.choices[name]._actions}
+    return None
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # Config/manifest values are injected as flags unless already given,
     # so explicit flags win and replaying a manifest reproduces the run.
+    # Keys the subcommand does not take (say, options since removed) are
+    # dropped with a warning, so older manifests still replay.
     if "--config" in argv:
         idx = argv.index("--config")
         path = argv[idx + 1]
@@ -488,8 +498,13 @@ def main(argv=None) -> int:
         sub = loaded.get("subcommand")
         if sub and (not argv or argv[0] != sub):
             argv.insert(0, sub)
+        known = _subcommand_dests(parser, argv[0] if argv else None)
+        dropped = sorted(set(config) - known) if known is not None else []
+        if dropped:
+            print(f"warning: {path}: ignoring keys that {argv[0]} does not "
+                  f"take: {', '.join(dropped)}", file=sys.stderr)
         for key, value in config.items():
-            if value is None:
+            if value is None or key in dropped:
                 continue
             if key == "id":
                 if len(argv) < 2 or argv[1].startswith("-"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Decomposer, Gf2Matrix, PauliVector, right_inverse
+from .gf2 import Gf2Matrix, PauliVector, parity, right_inverse
 from .builder import HolographicCode, css_split
 
 
@@ -37,8 +37,7 @@ def _fold(v: int, fold_shift: int | None) -> int:
 class DecodeProblem:
     """Minimum-weight coset search instance over packed bit-vectors.
 
-    The first ``n_stab`` generators are stabilizer rows (lambda
-    coefficients); the rest are logical rows (mu coefficients).  When
+    The coset is ``target`` plus the span of ``gens``.  When
     ``fold_shift`` is set the vectors are symplectic (x || z) pairs and the
     weight of a vector is the number of active positions after OR-folding
     the two halves (Pauli weight); otherwise plain Hamming weight is used.
@@ -47,7 +46,6 @@ class DecodeProblem:
     target: int
     gens: list
     width: int
-    n_stab: int
     fold_shift: int | None = None
 
     def weight_of(self, v: int) -> int:
@@ -167,12 +165,8 @@ class CosetTrellis:
             positions = n
             stride = 2
             self._interleave = interleave
-        self.stride = stride
-        self.positions = positions
 
         rows, combos = _minimal_span(rows)
-        self.rows = rows
-        self.combos = combos
         order = sorted(range(len(rows)),
                        key=lambda i: (rows[i] & -rows[i]).bit_length())
         rows = [rows[i] for i in order]
@@ -326,8 +320,6 @@ class CodeDecoder:
             # Z-error sector: X-type checks, Z-type coset generators.
             self.z_gens = [s.z for s in code.stabilizers if s.z] + z_reps
             self.x_gens = [s.x for s in code.stabilizers if s.x] + x_reps
-            self.nz_stab = sum(1 for s in code.stabilizers if s.z)
-            self.nx_stab = sum(1 for s in code.stabilizers if s.x)
             self._trellises = (
                 CosetTrellis(self.z_gens, n),
                 CosetTrellis(self.x_gens, n),
@@ -342,17 +334,15 @@ class CodeDecoder:
                 gens.append(lq.x_rep.x | (lq.x_rep.z << n))
                 gens.append(lq.z_rep.x | (lq.z_rep.z << n))
             self.sym_gens = gens
-            self.n_stab = len(code.stabilizers)
             fold = n if objective == "pauli" else None
             self._trellises = (
                 CosetTrellis(self.sym_gens, 2 * n, fold_shift=fold),
             )
-        rows = [s.x | (s.z << n) for s in code.stabilizers]
-        for lq in code.logicals:
-            rows.append(lq.x_rep.x | (lq.x_rep.z << n))
-        for lq in code.logicals:
-            rows.append(lq.z_rep.x | (lq.z_rep.z << n))
-        self._decomposer = Decomposer(rows, 2 * n)
+        # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
+        # as z || x, parity(v & P) is the symplectic product <v, P>.
+        self._partners = [(lq.z_rep.x | (lq.z_rep.z << n),
+                           lq.x_rep.x | (lq.x_rep.z << n))
+                          for lq in code.logicals]
 
     # -- syndromes ---------------------------------------------------------
 
@@ -415,22 +405,16 @@ class CodeDecoder:
     def net_logical_effect(self, v: PauliVector):
         """Per-bulk-qubit effect of a Pauli, or "detectable".
 
-        Zero-syndrome operators decompose over stabilizers and logical
-        representatives; the logical coefficients give the effect.
+        A zero-syndrome operator is a product of stabilizers and logical
+        representatives.  The representatives pair symplectically (the code
+        validates it), so its X-coefficient on qubit i is its symplectic
+        product with Z-bar_i and its Z-coefficient that with X-bar_i.
         """
         if not self.syndrome_is_zero(v):
             return "detectable"
-        combo = self._decomposer.coefficients(v.x | (v.z << self.n))
-        if combo is None:
-            raise AssertionError("zero-syndrome operator failed to decompose")
-        k = self.code.k
-        ns = len(self.code.stabilizers)
-        effects = []
-        for i in range(k):
-            a = (combo >> (ns + i)) & 1
-            b = (combo >> (ns + k + i)) & 1
-            effects.append("IXZY"[a + 2 * b])
-        return effects
+        w = v.z | (v.x << self.n)
+        return ["IXZY"[parity(w & zb) + 2 * parity(w & xb)]
+                for zb, xb in self._partners]
 
 
 def decode(code: HolographicCode, syndrome,

@@ -37,10 +37,9 @@ def _sector_problem(code, qubit, sector, include_other_logicals):
         target = z_reps[qubit]
         gens = list(sz.rows)
         others = [z_reps[j] for j in range(code.k) if j != qubit]
-    n_stab = len(gens)
     if include_other_logicals:
         gens += others
-    return DecodeProblem(target, gens, code.n, n_stab)
+    return DecodeProblem(target, gens, code.n)
 
 
 def _symplectic_problem(code, qubit, include_other_logicals, objective):
@@ -48,14 +47,13 @@ def _symplectic_problem(code, qubit, include_other_logicals, objective):
     target = code.logicals[qubit].x_rep
     target_v = target.x | (target.z << n)
     gens = [s.x | (s.z << n) for s in code.stabilizers]
-    n_stab = len(gens)
     if include_other_logicals:
         for j, lq in enumerate(code.logicals):
             if j != qubit:
                 gens.append(lq.x_rep.x | (lq.x_rep.z << n))
                 gens.append(lq.z_rep.x | (lq.z_rep.z << n))
     fold = n if objective == "pauli" else None
-    return DecodeProblem(target_v, gens, 2 * n, n_stab, fold_shift=fold)
+    return DecodeProblem(target_v, gens, 2 * n, fold_shift=fold)
 
 
 def _run(problem):

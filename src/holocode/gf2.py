@@ -89,6 +89,14 @@ class PauliVector:
         """popcount(x) + popcount(z); counts Y twice."""
         return self.x.bit_count() + self.z.bit_count()
 
+    def restrict(self, cols) -> "PauliVector":
+        """The operator on the listed qubits only; qubit i is qubit cols[i]."""
+        x = z = 0
+        for i, c in enumerate(cols):
+            x |= ((self.x >> c) & 1) << i
+            z |= ((self.z >> c) & 1) << i
+        return PauliVector(len(cols), x, z)
+
     def mul(self, other: "PauliVector") -> "PauliVector":
         """Product of two Pauli operators, phase discarded."""
         if self.n != other.n:
@@ -163,9 +171,13 @@ class Gf2Matrix:
         return out
 
     def transpose(self) -> "Gf2Matrix":
-        rows = []
-        for j in range(self.cols):
-            rows.append(vec_from_bits((r >> j) & 1 for r in self.rows))
+        rows = [0] * self.cols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                rows[low.bit_length() - 1] |= bit
+                r ^= low
         return Gf2Matrix(rows, self.n_rows)
 
     def copy(self) -> "Gf2Matrix":
@@ -179,86 +191,117 @@ class Gf2Matrix:
         )
 
 
+def eliminate(rows, cols: int, aug=None):
+    """Reduced row elimination over GF(2), carrying an augment along each row.
+
+    ``rows`` are packed rows of width ``cols``; ``aug`` is a parallel list
+    of packed vectors to which every row swap and row addition is applied
+    as well (an identity augment records each reduced row as a combination
+    of the input rows; without one, zeros are carried).  Pivot rule:
+    columns in increasing order, and the first row at or below the current
+    rank with that column set becomes the pivot.
+
+    Returns ``(rows, aug, pivots)``: the reduced rows, their augments, and
+    the pivot column of each of the first ``len(pivots)`` rows.  The
+    remaining rows are zero.
+    """
+    rows = list(rows)
+    m = len(rows)
+    aug = [0] * m if aug is None else list(aug)
+    pivots = []
+    for col in range(cols):
+        rank_ = len(pivots)
+        if rank_ == m:
+            break
+        bit = 1 << col
+        pivot = None
+        for r in range(rank_, m):
+            if rows[r] & bit:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        aug[rank_], aug[pivot] = aug[pivot], aug[rank_]
+        pr, pa = rows[rank_], aug[rank_]
+        for r in range(m):
+            if r != rank_ and rows[r] & bit:
+                rows[r] ^= pr
+                aug[r] ^= pa
+        pivots.append(col)
+    return rows, aug, pivots
+
+
 def rref(M: Gf2Matrix):
     """Reduced row echelon form over GF(2).
 
     Returns ``(R, rank, pivots)`` where pivots lists the pivot column of each
     of the first ``rank`` rows of R.
     """
-    rows = list(M.rows)
-    m = len(rows)
-    rank = 0
-    pivots = []
-    for col in range(M.cols):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank, m):
-            if rows[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(m):
-            if r != rank and rows[r] & bit:
-                rows[r] ^= rows[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return Gf2Matrix(rows, M.cols), rank, pivots
+    rows, _, pivots = eliminate(M.rows, M.cols)
+    return Gf2Matrix(rows, M.cols), len(pivots), pivots
 
 
 def rank(M: Gf2Matrix) -> int:
-    return rref(M)[1]
+    return len(eliminate(M.rows, M.cols)[2])
 
 
 def solve(M: Gf2Matrix, y: int):
-    """Return some x with M.x = y over GF(2), or None if inconsistent."""
+    """Return some x with M.x = y over GF(2), or None if inconsistent.
+
+    Every free (non-pivot) variable of x is 0.
+    """
     # Eliminate on rows augmented with the matching bit of y.
-    rows = [(M.rows[i], (y >> i) & 1) for i in range(M.n_rows)]
-    m = len(rows)
-    rank_ = 0
-    pivots = []
-    for col in range(M.cols):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank_, m):
-            if rows[r][0] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        pr, pb = rows[rank_]
-        for r in range(m):
-            if r != rank_ and rows[r][0] & bit:
-                rows[r] = (rows[r][0] ^ pr, rows[r][1] ^ pb)
-        pivots.append(col)
-        rank_ += 1
-    for r in range(rank_, m):
-        if rows[r][1]:
-            return None
+    _, aug, pivots = eliminate(M.rows, M.cols,
+                               [(y >> i) & 1 for i in range(M.n_rows)])
+    if any(aug[len(pivots):]):
+        return None
     x = 0
-    for i, col in enumerate(pivots):
-        if rows[i][1]:
-            x |= 1 << col
+    for b, col in zip(aug, pivots):
+        x |= b << col
     return x
+
+
+def _null_basis(rows: list, pivots: list, cols: int) -> list[int]:
+    """Kernel basis from reduced rows: one vector per free column, that
+    column plus the pivot columns whose rows contain it."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = 1 << fc
+        for r, pc in zip(rows, pivots):
+            if (r >> fc) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis
 
 
 def kernel(M: Gf2Matrix) -> list[int]:
     """Basis of the right null space {x : M.x = 0}, as packed vectors."""
-    R, rank_, pivots = rref(M)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = 1 << fc
-        for i, pc in enumerate(pivots):
-            if (R.rows[i] >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+    rows, _, pivots = eliminate(M.rows, M.cols)
+    return _null_basis(rows, pivots, M.cols)
+
+
+def _scatter_inverse(S: Gf2Matrix, aug: list, pivots: list) -> Gf2Matrix:
+    """The right inverse of S from its identity-augmented elimination.
+
+    The augment holds T with T.S in pivot form; column j of F scatters
+    column j of T onto the pivot positions, so it solves S.x = e_j with
+    every free variable 0.
+    """
+    m = S.n_rows
+    if len(pivots) < m:
+        raise ValueError("no right inverse: rows are GF(2)-dependent")
+    rows = [0] * S.cols
+    for a, pc in zip(aug, pivots):
+        rows[pc] = a
+    F = Gf2Matrix(rows, m)
+    for j, col_j in enumerate(F.transpose().rows):
+        if S.mul_vec(col_j) != 1 << j:
+            raise AssertionError("right_inverse verification failed")
+    return F
 
 
 def right_inverse(S: Gf2Matrix) -> Gf2Matrix:
@@ -266,83 +309,63 @@ def right_inverse(S: Gf2Matrix) -> Gf2Matrix:
 
     Column j of F is a vector whose syndrome under S is the j-th unit
     vector.  Raises ValueError when the rows of S are GF(2)-dependent.
-    One augmented elimination answers all columns: reducing [S | I] to
-    reduced echelon form records T with T.S in pivot form, and column j
-    of F scatters column j of T onto the pivot positions.
     """
-    m = S.n_rows
-    aug = [(S.rows[i], 1 << i) for i in range(m)]
-    rank_ = 0
-    pivots = []
-    for col in range(S.cols):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank_, m):
-            if aug[r][0] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[rank_], aug[pivot] = aug[pivot], aug[rank_]
-        pr, pt = aug[rank_]
-        for r in range(m):
-            if r != rank_ and aug[r][0] & bit:
-                aug[r] = (aug[r][0] ^ pr, aug[r][1] ^ pt)
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == m:
-            break
-    if rank_ < m:
-        raise ValueError("no right inverse: rows are GF(2)-dependent")
-    rows = [0] * S.cols
-    for i, pc in enumerate(pivots):
-        rows[pc] = aug[i][1]
-    F = Gf2Matrix(rows, m)
-    for j in range(m):
-        col_j = vec_from_bits((rows[i] >> j) & 1 for i in range(S.cols))
-        if S.mul_vec(col_j) != 1 << j:
-            raise AssertionError("right_inverse verification failed")
-    return F
+    _, aug, pivots = eliminate(S.rows, S.cols,
+                               [1 << i for i in range(S.n_rows)])
+    return _scatter_inverse(S, aug, pivots)
 
 
-class Decomposer:
-    """Repeated-solve helper for a fixed set of generator rows.
+def kernel_and_right_inverse(S: Gf2Matrix):
+    """``(kernel(S), right_inverse(S))`` from one elimination."""
+    rows, aug, pivots = eliminate(S.rows, S.cols,
+                                  [1 << i for i in range(S.n_rows)])
+    return _null_basis(rows, pivots, S.cols), _scatter_inverse(S, aug, pivots)
 
-    Performs one Gaussian elimination up front; ``coefficients(v)`` then
-    answers "which combination of the original rows equals v" in a single
-    sweep, or None when v is outside the row space.
+
+def row_combination(rows: list, cols: int, v: int):
+    """Mask c with the XOR of rows[i] over the set bits of c equal to v,
+    or None when v is outside the row space."""
+    reduced, aug, pivots = eliminate(rows, cols,
+                                     [1 << i for i in range(len(rows))])
+    c = 0
+    for r, a, pc in zip(reduced, aug, pivots):
+        if (v >> pc) & 1:
+            v ^= r
+            c ^= a
+    return None if v else c
+
+
+def swap_in(gens: list, m: PauliVector, anti: list, forbidden: set) -> int:
+    """Make the Pauli m one of the generators ``gens`` (in place) and
+    return its row.
+
+    ``anti`` lists the rows that anticommute with m.  When one of them is
+    outside ``forbidden`` this is the standard measurement update: the
+    first such row becomes m and the others are multiplied by it.  When
+    none is, m already lies in the group; its decomposition over the
+    generators picks the highest participating row outside ``forbidden``
+    to be replaced by m.
     """
-
-    def __init__(self, rows: list, cols: int):
-        self.cols = cols
-        self.n_gens = len(rows)
-        self._pivots = []  # (pivot_col, reduced_row, combo_mask)
-        for i, row in enumerate(rows):
-            combo = 1 << i
-            row, combo = self._reduce(row, combo)
-            if row:
-                pc = row.bit_length() - 1
-                self._pivots.append((pc, row, combo))
-                self._pivots.sort(key=lambda t: -t[0])
-
-    def _reduce(self, v: int, combo: int):
-        for pc, row, cmb in self._pivots:
-            if (v >> pc) & 1:
-                v ^= row
-                combo ^= cmb
-        return v, combo
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def coefficients(self, v: int):
-        """Coefficient mask c with XOR of rows[i] over set bits of c equal to v."""
-        v, combo = self._reduce(v, 0)
-        return None if v else combo
-
-    def contains(self, v: int) -> bool:
-        return self.coefficients(v) is not None
+    anti = [i for i in anti if i not in forbidden]
+    if anti:
+        first = anti[0]
+        g0 = gens[first]
+        for i in anti[1:]:
+            gens[i] = gens[i].mul(g0)
+        gens[first] = m
+        return first
+    width = m.n
+    rows = [g.x | (g.z << width) for g in gens]
+    combo = row_combination(rows, 2 * width, m.x | (m.z << width))
+    if combo is None:
+        raise AssertionError("operator neither anticommutes nor decomposes")
+    while combo:
+        i = combo.bit_length() - 1
+        if i not in forbidden:
+            gens[i] = m
+            return i
+        combo ^= 1 << i
+    raise AssertionError("no replaceable generator for measurement")
 
 
 def parse_tableau(text: str) -> list[PauliVector]:

@@ -17,8 +17,8 @@ from .gf2 import (
     PauliVector,
     parse_tableau,
     rank,
+    swap_in,
     symplectic_product,
-    vec_from_bits,
 )
 
 
@@ -203,33 +203,13 @@ def fixed_tile(seed: SeedCode) -> SeedCode:
     for pos in seed.bulk_positions:
         meas = PauliVector.single(m, pos, "Z")
         anti = [i for i, g in enumerate(gens) if symplectic_product(meas, g)]
-        if anti:
-            first = anti[0]
-            for i in anti[1:]:
-                gens[i] = gens[i].mul(gens[first])
-            gens[first] = meas
-        else:
-            # Z on the bulk leg is already in the group; locate a combination
-            # and swap one participating generator for the measured operator.
-            rows = [g.x | (g.z << m) for g in gens]
-            from .gf2 import Decomposer
-
-            combo = Decomposer(rows, 2 * m).coefficients(meas.x | (meas.z << m))
-            pick = combo.bit_length() - 1
-            gens[pick] = meas
-            first = pick
+        first = swap_in(gens, meas, anti, set())
         # Clear the measured column from every other generator.
         for i, g in enumerate(gens):
             if i != first and ((g.z >> pos) & 1):
-                gens[i] = g.mul(gens[first])
-        gens[first] = None
-        gens = [g for g in gens if g is not None]
-    # Drop bulk columns.
-    out = []
-    for g in gens:
-        x = vec_from_bits((g.x >> i) & 1 for i in keep)
-        z = vec_from_bits((g.z >> i) & 1 for i in keep)
-        out.append(PauliVector(len(keep), x, z))
+                gens[i] = g.mul(meas)
+        del gens[first]
+    out = [g.restrict(keep) for g in gens]
     seed_out = SeedCode(
         seed.name + "_fixed",
         tuple(seed.leg_order[i] for i in keep),
@@ -251,11 +231,8 @@ def is_isometry(seed: SeedCode, A) -> bool:
     if len(A) * 2 > m:
         raise ValueError("input subset larger than half the legs")
     outside = [i for i in range(m) if i not in A]
-    rows = []
-    for g in seed.generators:
-        x = vec_from_bits((g.x >> i) & 1 for i in outside)
-        z = vec_from_bits((g.z >> i) & 1 for i in outside)
-        rows.append(x | (z << len(outside)))
+    rows = [r.x | (r.z << len(outside))
+            for r in (g.restrict(outside) for g in seed.generators)]
     return rank(Gf2Matrix(rows, 2 * len(outside))) == len(seed.generators)
 
 

@@ -12,11 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from holocode.builder import build_code, css_split
+from holocode.builder import DEFAULT_SEEDS, ORIENTATIONS, build_code, css_split
 from holocode.decoder import CodeDecoder, CosetTrellis, DecodeProblem, pure_error
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
 from holocode.seeds import (
+    CATALOG,
     five_qubit_tensor,
     is_block_perfect,
     is_perfect,
@@ -135,16 +136,13 @@ def test_criterion_4_oracle_equivalence():
         code = build_code(fam, "max", 1, name)
         dec = CodeDecoder(code)
         if code.css:
-            for gens, n_stab, checks in (
-                (dec.z_gens, dec.nz_stab, dec.sx),
-                (dec.x_gens, dec.nx_stab, dec.sz),
-            ):
+            for gens, checks in ((dec.z_gens, dec.sx), (dec.x_gens, dec.sz)):
                 F = right_inverse(checks)
                 trellis = CosetTrellis(gens, code.n)
                 for _ in range(500):
                     y = int(rng.integers(0, 1 << checks.n_rows))
                     e = pure_error(F, y)
-                    prob = DecodeProblem(e, gens, code.n, n_stab)
+                    prob = DecodeProblem(e, gens, code.n)
                     got = trellis.minimize(e)[0]
                     assert got == exhaustive_min(prob)
                     total += 1
@@ -154,7 +152,7 @@ def test_criterion_4_oracle_equivalence():
             for _ in range(1000):
                 y = int(rng.integers(0, 1 << dec.h.n_rows))
                 e = pure_error(F, y)
-                prob = DecodeProblem(e, dec.sym_gens, 2 * code.n, dec.n_stab,
+                prob = DecodeProblem(e, dec.sym_gens, 2 * code.n,
                                      fold_shift=code.n)
                 got = trellis.minimize(e)[0]
                 assert got == exhaustive_min(prob)
@@ -235,6 +233,41 @@ def test_criterion_5_stretch_radius_four():
             line += f" dW={dw.value}"
         lines.append(line)
     report(5, "stretch R=4 rows certified exact (" + "; ".join(lines) + ")")
+
+
+# Every (rotation, reflect) option of each seed's oriented tile role that
+# reproduces the R<=3 rows of DISTANCE_TABLE.  The calibrated choice is not
+# unique: R=4 further narrows Steane to (5, True) and (6, False) and SCF to
+# (0, True), (1, False) and (2, True); the five-qubit tensor is cyclic.
+MATCHING_ORIENTATIONS = {
+    "steane": {(0, False), (0, True), (2, False), (2, True), (4, False),
+               (4, True), (5, False), (5, True), (6, False), (6, True)},
+    "scf": {(0, True), (1, False), (2, True), (4, False)},
+    "five_qubit": {(r, f) for r in range(5) for f in (False, True)},
+}
+
+
+def test_criterion_5_orientation_sweep():
+    """Pins ``ORIENTATIONS``: a change to leg numbering or to the
+    orientation convention moves the matching set and fails here."""
+    for (family, variant), rows in DISTANCE_TABLE.items():
+        seed = DEFAULT_SEEDS[(family, variant)]
+        (role, calibrated), = ORIENTATIONS[seed].items()
+        sides = CATALOG[seed]().n
+        matching = set()
+        for option in itertools.product(range(sides), (False, True)):
+            for radius, expected in rows.items():
+                code = build_code(family, variant, radius,
+                                  orientations={role: option})
+                dw = (word_distance(code, 0).value
+                      if expected[1] is not None else None)
+                if (bit_distance(code, 0).value, dw) != expected:
+                    break
+            else:
+                matching.add(option)
+        assert matching == MATCHING_ORIENTATIONS[seed], seed
+        assert calibrated in matching, seed
+    report(5, "calibrated orientations reproduce the R<=3 table")
 
 
 # -- 6: binomial mixing -------------------------------------------------------

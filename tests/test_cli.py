@@ -159,6 +159,24 @@ def test_simulate_manifest_replay_byte_identical(tmp_path, capsys):
     assert open(first).read() == open(second).read()
 
 
+def test_replay_skips_keys_the_subcommand_no_longer_takes(tmp_path, capsys):
+    first = str(tmp_path / "a.csv")
+    rc, _, _ = run(["simulate", "--family", "pentagon", "--variant", "max",
+                    "--radius", "1", "--seed-code", "scf", "--weights", "1,2",
+                    "--trials-per-weight", "20", "--seed", "3",
+                    "--threads", "1", "--out", first], capsys)
+    assert rc == 0
+    manifest = json.load(open(first + ".manifest.json"))
+    manifest["config"]["timeout"] = 60.0  # an option older manifests hold
+    old = str(tmp_path / "old.manifest.json")
+    json.dump(manifest, open(old, "w"))
+    second = str(tmp_path / "b.csv")
+    rc, _, stderr = run(["--config", old, "simulate", "--out", second], capsys)
+    assert rc == 0
+    assert "timeout" in stderr
+    assert open(first).read() == open(second).read()
+
+
 def test_verify_passes(capsys):
     rc, stdout, _ = run(["verify", "--max-radius", "2"], capsys)
     assert rc == 0

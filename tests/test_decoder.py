@@ -64,7 +64,7 @@ def test_pure_error_dimension_check():
 
 
 def test_zero_target_any_generators():
-    prob = DecodeProblem(0, [0b1010, 0b0110], 4, 2)
+    prob = DecodeProblem(0, [0b1010, 0b0110], 4)
     assert trellis_min(prob) == (0, 0)
 
 
@@ -76,7 +76,7 @@ def test_steane_z_sector_single_error():
     y = sx.mul_vec(1 << 1)
     e = pure_error(f, y)
     gens = [s.z for s in code.stabilizers if s.z] + z_reps
-    prob = DecodeProblem(e, gens, 7, 3)
+    prob = DecodeProblem(e, gens, 7)
     w, v = trellis_min(prob)
     assert w == 1
     assert v == 1 << 1  # the unique weight-1 solution
@@ -87,7 +87,7 @@ def test_scf_weight_one_targets_stay_weight_one():
     code = build_code("pentagon", "max", 1, "scf")
     gens = [s.z for s in code.stabilizers if s.z]  # stabilizers only
     for q in range(5):
-        prob = DecodeProblem(1 << q, gens, 5, len(gens))
+        prob = DecodeProblem(1 << q, gens, 5)
         assert trellis_min(prob)[0] == 1
         assert exhaustive_min(prob) == 1
 
@@ -97,7 +97,7 @@ def test_oracle_equivalence_random_problems():
     for _ in range(40):
         width = rng.randrange(4, 12)
         gens = [rng.getrandbits(width) for _ in range(rng.randrange(1, 9))]
-        prob = DecodeProblem(rng.getrandbits(width), gens, width, len(gens))
+        prob = DecodeProblem(rng.getrandbits(width), gens, width)
         w, v = trellis_min(prob)
         assert w == exhaustive_min(prob) == branch_and_bound_min(prob)
         assert w == prob.weight_of(v)
@@ -108,8 +108,8 @@ def test_pauli_fold_objective():
     n = 2
     target = 0b0011  # X on both qubits
     gen = 0b1100  # Z on both qubits
-    prob_h = DecodeProblem(target, [gen], 2 * n, 1)
-    prob_p = DecodeProblem(target, [gen], 2 * n, 1, fold_shift=n)
+    prob_h = DecodeProblem(target, [gen], 2 * n)
+    prob_p = DecodeProblem(target, [gen], 2 * n, fold_shift=n)
     assert trellis_min(prob_h)[0] == 2
     assert trellis_min(prob_p)[0] == 2
     # with pauli weight, a Y-only vector still counts its qubits once
@@ -125,7 +125,7 @@ def test_monotonicity_adding_generators():
         target = rng.getrandbits(width)
         w_prev = None
         for g_count in range(len(gens) + 1):
-            prob = DecodeProblem(target, gens[:g_count], width, g_count)
+            prob = DecodeProblem(target, gens[:g_count], width)
             w = trellis_min(prob)[0]
             if w_prev is not None:
                 assert w <= w_prev
@@ -138,7 +138,7 @@ def test_trellis_matches_search_on_random_instances():
         width = rng.randrange(6, 16)
         gens = [rng.getrandbits(width) | 1 << rng.randrange(width)
                 for _ in range(rng.randrange(1, 9))]
-        prob = DecodeProblem(rng.getrandbits(width), gens, width, len(gens))
+        prob = DecodeProblem(rng.getrandbits(width), gens, width)
         w, v = trellis_min(prob)
         assert prob.weight_of(v) == w
         assert w == branch_and_bound_min(prob)
@@ -150,7 +150,7 @@ def test_trellis_pauli_fold():
     for _ in range(20):
         gens = [rng.getrandbits(2 * n) for _ in range(6)]
         gens = [g for g in gens if g]
-        prob = DecodeProblem(rng.getrandbits(2 * n), gens, 2 * n, len(gens),
+        prob = DecodeProblem(rng.getrandbits(2 * n), gens, 2 * n,
                              fold_shift=n)
         assert trellis_min(prob)[0] == branch_and_bound_min(prob)
 
@@ -176,7 +176,7 @@ def coset_problems(draw):
         a, b = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=2))
         gens.append(a ^ b)
     gens = draw(st.permutations(gens))
-    return DecodeProblem(draw(vec), gens, width, len(gens), fold_shift=fold)
+    return DecodeProblem(draw(vec), gens, width, fold_shift=fold)
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,6 +254,30 @@ def test_net_logical_effect_cases(steane):
     assert dec.net_logical_effect(PauliVector.single(7, 0, "X")) == "detectable"
 
 
+@pytest.mark.parametrize("family,variant,seed_name", [
+    ("heptagon", "max", None),  # CSS, k=8
+    ("pentagon", "max", "five_qubit"),  # non-CSS, k=11
+])
+def test_net_logical_effect_reads_known_products(family, variant, seed_name):
+    code = build_code(family, variant, 2, seed_name)
+    dec = CodeDecoder(code)
+    rng = random.Random(8)
+    for _ in range(40):
+        v = PauliVector(code.n)
+        for s in code.stabilizers:
+            if rng.getrandbits(1):
+                v = v.mul(s)
+        want = []
+        for lq in code.logicals:
+            a, b = rng.getrandbits(1), rng.getrandbits(1)
+            if a:
+                v = v.mul(lq.x_rep)
+            if b:
+                v = v.mul(lq.z_rep)
+            want.append("IXZY"[a + 2 * b])
+        assert dec.net_logical_effect(v) == want
+
+
 def test_decode_syndrome_preserved_on_random_errors():
     rng = random.Random(2)
     code = build_code("pentagon", "reduced", 2)
@@ -278,8 +302,8 @@ def test_trellis_and_search_decoders_agree_on_weights():
         yx, yz = dec.syndrome(err)
         corr, _ = dec.decode((yx, yz))
         oracle_z = branch_and_bound_min(DecodeProblem(
-            pure_error(dec.fx, yx), dec.z_gens, code.n, dec.nz_stab))
+            pure_error(dec.fx, yx), dec.z_gens, code.n))
         oracle_x = branch_and_bound_min(DecodeProblem(
-            pure_error(dec.fz, yz), dec.x_gens, code.n, dec.nx_stab))
+            pure_error(dec.fz, yz), dec.x_gens, code.n))
         assert corr.z.bit_count() == oracle_z
         assert corr.x.bit_count() == oracle_x

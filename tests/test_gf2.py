@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holocode.gf2 import (
-    Decomposer,
     Gf2Matrix,
     PauliVector,
     format_tableau,
@@ -13,6 +14,7 @@ from holocode.gf2 import (
     parse_tableau,
     rank,
     right_inverse,
+    row_combination,
     rref,
     solve,
     symplectic_product,
@@ -184,23 +186,133 @@ def test_kernel_vectors_annihilate():
             assert m.mul_vec(v) == 0
 
 
-def test_decomposer_matches_membership():
+def test_row_combination_matches_membership():
     rng = random.Random(31)
     rows = [rng.getrandbits(16) for _ in range(8)]
-    dec = Decomposer(rows, 16)
     for _ in range(100):
         mask = rng.getrandbits(8)
         v = 0
         for i in range(8):
             if (mask >> i) & 1:
                 v ^= rows[i]
-        combo = dec.coefficients(v)
+        combo = row_combination(rows, 16, v)
         assert combo is not None
         w = 0
         for i in range(8):
             if (combo >> i) & 1:
                 w ^= rows[i]
         assert w == v
+
+
+# -- every elimination answer pinned by brute force ---------------------------
+#
+# Each answer below is unique once the rule is fixed, so these tests pin the
+# pivot order without looking at the elimination loop.
+
+
+def span(vectors) -> set:
+    """Every XOR combination of the vectors."""
+    out = {0}
+    for v in vectors:
+        out |= {u ^ v for u in out}
+    return out
+
+
+def leftmost_column_basis(M: Gf2Matrix) -> list:
+    """Columns taken left to right whenever they leave the span of the
+    columns before them."""
+    basis, spanned = [], {0}
+    for j in range(M.cols):
+        col = vec_from_bits((r >> j) & 1 for r in M.rows)
+        if col not in spanned:
+            basis.append(j)
+            spanned |= {u ^ col for u in spanned}
+    return basis
+
+
+def xor_of(rows, c: int) -> int:
+    """XOR of rows[i] over the set bits of c."""
+    out = 0
+    for i, r in enumerate(rows):
+        if (c >> i) & 1:
+            out ^= r
+    return out
+
+
+def mask_of(cols) -> int:
+    return sum(1 << c for c in cols)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=8):
+    """Small matrices with empty, zero and dependent rows mixed in."""
+    cols = draw(st.integers(0, max_cols))
+    vec = st.integers(0, (1 << cols) - 1)
+    rows = draw(st.lists(vec, max_size=max_rows))
+    if draw(st.booleans()):
+        rows.append(0)
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+        rows.append(a ^ b)
+    return Gf2Matrix(draw(st.permutations(rows)), cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_is_brute_force_span_size(M):
+    assert 1 << rank(M) == len(span(M.rows))
+    assert rref(M)[2] == leftmost_column_basis(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 255))
+def test_solve_sets_free_variables_to_zero(M, y):
+    y &= (1 << M.n_rows) - 1
+    solutions = [x for x in range(1 << M.cols) if M.mul_vec(x) == y]
+    basis = mask_of(leftmost_column_basis(M))
+    x = solve(M, y)
+    if not solutions:
+        assert x is None
+    else:
+        assert [s for s in solutions if not s & ~basis] == [x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_vector_is_one_free_column_plus_pivots(M):
+    basis = leftmost_column_basis(M)
+    free = [j for j in range(M.cols) if j not in basis]
+    K = kernel(M)
+    assert [v & ~mask_of(basis) for v in K] == [1 << j for j in free]
+    assert span(K) == {x for x in range(1 << M.cols) if M.mul_vec(x) == 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_right_inverse_lives_on_leftmost_column_basis(S):
+    if len(span(S.rows)) < 1 << S.n_rows:
+        with pytest.raises(ValueError):
+            right_inverse(S)
+        return
+    F = right_inverse(S)
+    basis = leftmost_column_basis(S)
+    assert all(F.rows[i] == 0 for i in range(S.cols) if i not in basis)
+    for j, col in enumerate(F.transpose().rows):
+        assert S.mul_vec(col) == 1 << j
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 255))
+def test_row_combination_matches_brute_force(M, v):
+    v &= (1 << M.cols) - 1
+    combos = [c for c in range(1 << M.n_rows) if xor_of(M.rows, c) == v]
+    got = row_combination(M.rows, M.cols, v)
+    if not combos:
+        assert got is None
+    elif len(span(M.rows)) == 1 << M.n_rows:
+        assert combos == [got]
+    else:
+        assert got in combos
 
 
 def test_tableau_roundtrip():
