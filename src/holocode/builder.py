@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .gf2 import (
     Gf2Matrix,
     PauliVector,
     kernel_and_right_inverse,
     parse_tableau,
+    restrict,
     swap_in,
-    symplectic_product,
+    symplectic_gram,
 )
 from .seeds import CATALOG, SeedCode, blank_tile, fixed_tile, symplectic_rank
 from .tiling import TileGraph, build_tiling
@@ -55,7 +55,7 @@ def contract_pair(state: NetworkState, leg_a, leg_b) -> NetworkState:
     _project_pair(out.generators, len(out.legs), a, b)
     keep_cols = [i for i in range(len(out.legs)) if i not in (a, b)]
     out.legs = [out.legs[i] for i in keep_cols]
-    out.generators = [g.restrict(keep_cols) for g in out.generators]
+    out.generators = restrict(out.generators, keep_cols)
     return out
 
 
@@ -157,7 +157,7 @@ def network_state(graph: TileGraph, seed_map: dict,
         dead.add(index[eb])
     keep = [i for i in range(width) if i not in dead]
     state = NetworkState(
-        [legs[i] for i in keep], [g.restrict(keep) for g in gens]
+        [legs[i] for i in keep], restrict(gens, keep)
     )
     if len(state.generators) != len(state.legs):
         raise AssertionError("generator count != open leg count")
@@ -192,25 +192,27 @@ class HolographicCode:
     def validate(self):
         if len(self.stabilizers) != self.n - self.k:
             raise ValueError("stabilizer count != n - k")
-        for a, b in combinations(self.stabilizers, 2):
-            if symplectic_product(a, b):
-                raise ValueError("stabilizers do not commute")
+        m, k = len(self.stabilizers), self.k
+        gram = symplectic_gram(list(self.stabilizers)
+                               + [lq.x_rep for lq in self.logicals]
+                               + [lq.z_rep for lq in self.logicals])
+        stab_mask = (1 << m) - 1
+        if any(row & stab_mask for row in gram[:m]):
+            raise ValueError("stabilizers do not commute")
         if symplectic_rank(self.stabilizers) != len(self.stabilizers):
             raise ValueError("stabilizers dependent")
-        for lq in self.logicals:
-            for s in self.stabilizers:
-                if symplectic_product(lq.x_rep, s) or symplectic_product(lq.z_rep, s):
-                    raise ValueError("logical rep anticommutes with a stabilizer")
-        for i, li in enumerate(self.logicals):
-            for j, lj in enumerate(self.logicals):
-                want = 1 if i == j else 0
-                if symplectic_product(li.x_rep, lj.z_rep) != want:
-                    raise ValueError("logical X/Z pairing broken")
-                if i != j and (
-                    symplectic_product(li.x_rep, lj.x_rep)
-                    or symplectic_product(li.z_rep, lj.z_rep)
-                ):
-                    raise ValueError("logical reps of distinct qubits anticommute")
+        if any(row & stab_mask for row in gram[m:]):
+            raise ValueError("logical rep anticommutes with a stabilizer")
+        kmask = (1 << k) - 1
+        for i in range(k):
+            # Bit j: <X_i, Z_j> must be the identity; <X_i, X_j> and
+            # <Z_i, Z_j> must vanish.  The first offending j names the fault.
+            broken = ((gram[m + i] >> (m + k)) & kmask) ^ (1 << i)
+            anti = ((gram[m + i] >> m) | (gram[m + k + i] >> (m + k))) & kmask
+            if broken and (not anti or broken & -broken <= anti & -anti):
+                raise ValueError("logical X/Z pairing broken")
+            if anti:
+                raise ValueError("logical reps of distinct qubits anticommute")
         if self.css != all(s.x == 0 or s.z == 0 for s in self.stabilizers):
             raise ValueError("css flag inconsistent with stabilizers")
 
@@ -320,7 +322,7 @@ def extract_code(state: NetworkState, graph: TileGraph,
     order = list(graph.boundary_legs) + list(graph.bulk_legs)
     index = {leg: i for i, leg in enumerate(state.legs)}
     cols = [index[leg] for leg in order]
-    gens = [g.restrict(cols) for g in state.generators]
+    gens = restrict(state.generators, cols)
     n = len(graph.boundary_legs)
     k = len(graph.bulk_legs)
     if len(gens) != n + k:

@@ -4,22 +4,30 @@ A syndrome is mapped to a pure error through the inverse syndrome former
 (the GF(2) right inverse of the check matrix); the minimum-weight element
 of the coset spanned by stabilizer and logical generators is then found
 exactly by a Viterbi sweep over a precomputed minimal trellis
-(``CosetTrellis``).  The same minimizer serves decoding and distances.
+(``CosetTrellis``, the minimal trellis of McEliece, "On the BCJR trellis
+for linear block codes", IEEE Trans. IT 1996).  The same minimizer serves
+decoding and distances.  Its state bits are kept ordered by where their
+rows end, so a sweep is slices, repeats and adds over one weight array
+and the trellis stores one small cost row per column and target pattern.
 A trellis whose state profile exceeds its limit raises
 ``TrellisLimitError`` instead of returning an uncertified answer.
 
 The same minimization can be phrased as a standard integer linear
 program for users who prefer an external solver: minimize sum_i w_i
 subject to w = e + G.x - 2t with x in {0,1}^|G|, t integer slack and
-0 <= w <= 1 componentwise.  Nothing here requires it; the trellis is
-exact.
+0 <= w <= 1 componentwise (for Pauli weight, minimize sum_q y_q with
+y_q >= w_q and y_q >= w_{q+n}).  Nothing here requires it; the trellis
+is exact, and the tests check it against this program.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix, PauliVector, parity, right_inverse
+import numpy as np
+
+from .gf2 import Gf2Matrix, PauliVector, gather_bits, parity, right_inverse
 from .builder import HolographicCode, css_split
 
 
@@ -124,18 +132,22 @@ class CosetTrellis:
     a Viterbi sweep over columns then carries one weight per assignment of
     the rows whose span straddles the current column.  Holographic codes
     have arc-local generators in boundary order, so the straddle count
-    stays small and a sweep costs milliseconds.  The trellis (branch,
-    parity and merge schedules) depends only on the generators and is
-    reused across targets; ``minimize`` is exact for every target.
-    Construction raises ``TrellisLimitError`` when some column needs more
-    than ``state_limit`` states.
+    stays small and a sweep costs milliseconds.  The trellis depends only
+    on the generators and is reused across targets; ``minimize`` is exact
+    for every target.  Construction raises ``TrellisLimitError`` when some
+    column needs more than ``state_limit`` states.
+
+    State layout: the active rows are kept ordered by the column where
+    they end, rows ending together in reverse start order, and state bit
+    b holds the coefficient of the b-th of them.  So every merge drops
+    bit 0 (a pair of strided slices), and a new row's bit is inserted at
+    its rank.  A column stores only a ``uint8`` cost row per pattern of
+    target bits there.  The layout permutes storage only: the merge
+    sequence, and with it every tie-break, is that of any other layout.
     """
 
     def __init__(self, gens, width: int, fold_shift: int | None = None,
                  state_limit: int = 1 << 22):
-        import numpy as np
-
-        self.np = np
         self.gens = list(gens)
         self.width = width
         self.fold_shift = fold_shift
@@ -144,154 +156,89 @@ class CosetTrellis:
             positions = width
             stride = 1
         else:
+            # Interleave the halves: x bit q -> bit 2q, z bit q -> bit 2q+1.
             n = fold_shift
-            nmask = (1 << n) - 1
-
-            def interleave(v):
-                x = v & nmask
-                z = v >> n
-                out = 0
-                while x:
-                    b = x & -x
-                    x ^= b
-                    out |= b * b
-                while z:
-                    b = z & -z
-                    z ^= b
-                    out |= 2 * b * b
-                return out
-
-            rows = [interleave(g) for g in self.gens]
+            self._spread = ([1 << 2 * q for q in range(n)]
+                            + [2 << 2 * q for q in range(n)])
+            rows = [gather_bits(g, self._spread) for g in self.gens]
             positions = n
             stride = 2
-            self._interleave = interleave
 
         rows, combos = _minimal_span(rows)
         order = sorted(range(len(rows)),
                        key=lambda i: (rows[i] & -rows[i]).bit_length())
         rows = [rows[i] for i in order]
         self.combos = [combos[i] for i in order]
-        starts = [((r & -r).bit_length() - 1) // stride for r in rows]
-        ends = [(r.bit_length() - 1) // stride for r in rows]
-
-        # Schedule: per position, rows that start and rows that end there.
         start_at = [[] for _ in range(positions)]
-        end_at = [[] for _ in range(positions)]
         for i, r in enumerate(rows):
-            start_at[starts[i]].append(i)
-            end_at[ends[i]].append(i)
+            start_at[((r & -r).bit_length() - 1) // stride].append(i)
 
-        # Walk the schedule once to freeze the state layout and parity
-        # tables.  ``active`` maps state bit -> row id.
-        self.schedule = []  # ops: ("branch", row) ("emit", arrays) ("merge", row, bit)
-        active = []
+        # ops: ("branch", row, bit) ("emit", shift, pattern, cost) ("merge", row)
+        self.schedule = []
+        pattern = (1 << stride) - 1
+        patterns = np.arange(pattern + 1, dtype=np.uint8)[:, None]
+        active = []  # state bit -> (end position, -row), ascending
         for p in range(positions):
             for i in start_at[p]:
-                active.append(i)
+                key = ((rows[i].bit_length() - 1) // stride, -i)
+                b = bisect.bisect(active, key)
+                active.insert(b, key)
                 if 1 << len(active) > state_limit:
                     raise TrellisLimitError(
                         f"trellis needs 2^{len(active)} states at position "
                         f"{p}, above the limit of {state_limit}")
-                self.schedule.append(("branch", i))
-            size = 1 << len(active)
-            idx = np.arange(size, dtype=np.uint32)
-            if stride == 1:
-                mask = 0
-                for b, i in enumerate(active):
-                    if (rows[i] >> p) & 1:
-                        mask |= 1 << b
-                par = (np.bitwise_count(idx & np.uint32(mask)) & 1).astype(np.int32)
-                self.schedule.append(("emit", p, par))
-            else:
-                mx = mz = 0
-                for b, i in enumerate(active):
-                    if (rows[i] >> (2 * p)) & 1:
-                        mx |= 1 << b
-                    if (rows[i] >> (2 * p + 1)) & 1:
-                        mz |= 1 << b
-                parx = (np.bitwise_count(idx & np.uint32(mx)) & 1).astype(np.int32)
-                parz = (np.bitwise_count(idx & np.uint32(mz)) & 1).astype(np.int32)
-                self.schedule.append(("emit2", p, parx, parz))
-            for i in reversed(end_at[p]):
-                b = active.index(i)
-                size = 1 << len(active)
-                keep = np.array(
-                    [s for s in range(size) if not (s >> b) & 1], dtype=np.intp
-                )
-                self.schedule.append(("merge", i, b, keep, keep | (1 << b)))
-                # Remove bit b: remaining bits shift down.
-                active.pop(b)
+                self.schedule.append(("branch", i, b))
+            # code: bit s is the parity of the state's rows at target bit s;
+            # a position costs 1 unless it equals the target's bits there.
+            idx = np.arange(1 << len(active), dtype=np.uint32)
+            code = 0
+            for s in range(stride):
+                mask = sum(((rows[-neg] >> (stride * p + s)) & 1) << b
+                           for b, (_, neg) in enumerate(active))
+                code = code | (np.bitwise_count(idx & np.uint32(mask)) & 1) << s
+            cost = (code != patterns).view(np.uint8)
+            self.schedule.append(("emit", stride * p, pattern, cost))
+            while active and active[0][0] == p:
+                self.schedule.append(("merge", -active.pop(0)[1]))
         if active:
             raise AssertionError("rows still active after final position")
 
     # -- queries ----------------------------------------------------------
 
-    def target_bits(self, target: int):
-        if self.fold_shift is not None:
-            return self._interleave(target)
-        return target
-
     def minimize(self, target: int):
         """(weight, combo mask over the original generators)."""
-        np = self.np
-        t = self.target_bits(target)
+        t = target if self.fold_shift is None else gather_bits(target, self._spread)
         W = np.zeros(1, dtype=np.int32)
         sels = []
         for op in self.schedule:
             kind = op[0]
-            if kind == "branch":
-                W = np.concatenate([W, W])
-            elif kind == "emit":
-                p, par = op[1], op[2]
-                if (t >> p) & 1:
-                    W = W + (1 - par)
-                else:
-                    W = W + par
-            elif kind == "emit2":
-                p, parx, parz = op[1], op[2], op[3]
-                bx = (t >> (2 * p)) & 1
-                bz = (t >> (2 * p + 1)) & 1
-                cx = (1 - parx) if bx else parx
-                cz = (1 - parz) if bz else parz
-                W = W + np.maximum(cx, cz)
-            else:  # merge
-                _, b, keep0, keep1 = op[1], op[2], op[3], op[4]
-                W0 = W[keep0]
-                W1 = W[keep1]
-                sel = W1 < W0
-                sels.append(sel)
-                W = np.where(sel, W1, W0)
+            if kind == "emit":
+                W += op[3][(t >> op[1]) & op[2]]
+            elif kind == "branch":
+                W = W.reshape(-1, 1 << op[2]).repeat(2, axis=0).ravel()
+            else:  # merge: drop state bit 0, keeping 0 on ties
+                W0 = W[0::2]
+                W1 = W[1::2]
+                sels.append(W1 < W0)
+                W = np.minimum(W0, W1)
         weight = int(W[0])
 
-        # Backtrace: walk the schedule in reverse recovering each row's
-        # coefficient at its merge, and each branch bit when it is removed.
+        # Backtrace: a merge restores state bit 0 from its choice, and a
+        # branch reads its row's coefficient from the bit it inserted.
         state = 0
-        nbits = 0
-        coeff = {}
-        si = len(sels) - 1
+        combo = 0
+        si = len(sels)
         for op in reversed(self.schedule):
             kind = op[0]
             if kind == "merge":
-                row, b = op[1], op[2]
-                bit = int(sels[si][state])
                 si -= 1
-                coeff[row] = bit
-                low = state & ((1 << b) - 1)
-                state = ((state >> b) << (b + 1)) | (bit << b) | low
-                nbits += 1
+                state = (state << 1) | int(sels[si][state])
             elif kind == "branch":
-                row = op[1]
-                nbits -= 1
-                # bit nbits of the state is this row's coefficient
-                coeff[row] = (state >> nbits) & 1
-                state &= (1 << nbits) - 1
-        combo = 0
-        for i, c in coeff.items():
-            if c:
-                combo ^= self.combos[i]
+                b = op[2]
+                if (state >> b) & 1:
+                    combo ^= self.combos[op[1]]
+                state = ((state >> (b + 1)) << b) | (state & ((1 << b) - 1))
         return weight, combo
-
-
 
 
 class CodeDecoder:

@@ -89,14 +89,6 @@ class PauliVector:
         """popcount(x) + popcount(z); counts Y twice."""
         return self.x.bit_count() + self.z.bit_count()
 
-    def restrict(self, cols) -> "PauliVector":
-        """The operator on the listed qubits only; qubit i is qubit cols[i]."""
-        x = z = 0
-        for i, c in enumerate(cols):
-            x |= ((self.x >> c) & 1) << i
-            z |= ((self.z >> c) & 1) << i
-        return PauliVector(len(cols), x, z)
-
     def mul(self, other: "PauliVector") -> "PauliVector":
         """Product of two Pauli operators, phase discarded."""
         if self.n != other.n:
@@ -121,11 +113,55 @@ class PauliVector:
         return f"PauliVector({self.to_string()!r})"
 
 
+def gather_bits(v: int, masks: list) -> int:
+    """XOR of masks[c] over the set bits c of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= masks[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def restrict(paulis, cols) -> list[PauliVector]:
+    """The operators on the listed qubits only; qubit i is qubit cols[i].
+
+    The column map is built once and each operator's set bits are walked
+    through it, so an operator costs its weight, not ``len(cols)`` shifts.
+    """
+    paulis = list(paulis)
+    n = paulis[0].n if paulis else 0
+    if any(p.n != n for p in paulis):
+        raise ValueError("length mismatch")
+    to = [0] * n  # qubit -> mask of the output qubits it lands on
+    for i, c in enumerate(cols):
+        if c < n:
+            to[c] |= 1 << i
+    return [PauliVector(len(cols), gather_bits(p.x, to), gather_bits(p.z, to))
+            for p in paulis]
+
+
 def symplectic_product(a: PauliVector, b: PauliVector) -> int:
     """Symplectic inner product mod 2; 0 iff the two operators commute."""
     if a.n != b.n:
         raise ValueError("length mismatch")
     return parity(a.x & b.z) ^ parity(a.z & b.x)
+
+
+def symplectic_gram(gens) -> list[int]:
+    """Packed rows of the symplectic Gram matrix: bit j of row i is
+    ``symplectic_product(gens[i], gens[j])``.
+
+    Row i XORs, over the qubits where gens[i] has an X (Z) factor, the
+    mask of the operators with a Z (X) factor there: one XOR per factor,
+    not one product per pair.
+    """
+    if any(g.n != gens[0].n for g in gens):
+        raise ValueError("length mismatch")
+    n = gens[0].n if gens else 0
+    xs = Gf2Matrix([g.x for g in gens], n).transpose().rows
+    zs = Gf2Matrix([g.z for g in gens], n).transpose().rows
+    return [gather_bits(g.x, zs) ^ gather_bits(g.z, xs) for g in gens]
 
 
 @dataclass

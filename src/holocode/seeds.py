@@ -17,7 +17,9 @@ from .gf2 import (
     PauliVector,
     parse_tableau,
     rank,
+    restrict,
     swap_in,
+    symplectic_gram,
     symplectic_product,
 )
 
@@ -62,9 +64,8 @@ class SeedCode:
         m = self.total_legs
         if len(self.generators) != m:
             raise ValueError(f"{self.name}: expected {m} generators")
-        for a, b in combinations(self.generators, 2):
-            if symplectic_product(a, b):
-                raise ValueError(f"{self.name}: generators do not all commute")
+        if any(symplectic_gram(self.generators)):
+            raise ValueError(f"{self.name}: generators do not all commute")
         if symplectic_rank(self.generators) != m:
             raise ValueError(f"{self.name}: generators are GF(2)-dependent")
 
@@ -209,7 +210,7 @@ def fixed_tile(seed: SeedCode) -> SeedCode:
             if i != first and ((g.z >> pos) & 1):
                 gens[i] = g.mul(meas)
         del gens[first]
-    out = [g.restrict(keep) for g in gens]
+    out = restrict(gens, keep)
     seed_out = SeedCode(
         seed.name + "_fixed",
         tuple(seed.leg_order[i] for i in keep),
@@ -232,7 +233,7 @@ def is_isometry(seed: SeedCode, A) -> bool:
         raise ValueError("input subset larger than half the legs")
     outside = [i for i in range(m) if i not in A]
     rows = [r.x | (r.z << len(outside))
-            for r in (g.restrict(outside) for g in seed.generators)]
+            for r in restrict(seed.generators, outside)]
     return rank(Gf2Matrix(rows, 2 * len(outside))) == len(seed.generators)
 
 

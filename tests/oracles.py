@@ -1,10 +1,13 @@
 """Reference coset minimizers that the tests compare ``CosetTrellis`` with.
 
-Both return only the minimum weight of ``problem.target`` plus any
+Each returns only the minimum weight of ``problem.target`` plus any
 combination of ``problem.gens`` (a ``DecodeProblem``), with the problem's
-own weight (Hamming, or Pauli weight when ``fold_shift`` is set).  Neither
+own weight (Hamming, or Pauli weight when ``fold_shift`` is set).  None
 shares code with the trellis.
 """
+
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 def exhaustive_min(problem):
@@ -68,3 +71,46 @@ def branch_and_bound_min(problem):
 
     search(problem.target, fold(problem.target))
     return best
+
+
+def milp_min(problem):
+    """The decoder's integer program, solved exactly by HiGHS.
+
+    Variables, in order: a binary coefficient per generator, the binary
+    coset vector w, an integer slack t per position, and for Pauli weight
+    a binary y per qubit.  Each position p satisfies
+    w_p = target_p + sum_g g_p c_g - 2 t_p.  Hamming weight minimizes
+    sum w; Pauli weight minimizes sum y subject to y_q >= w_q (X part) and
+    y_q >= w_{q+n} (Z part).  This is the integer-optimisation decoder of
+    the source paper, so it is independent of the trellis.
+    """
+    m, width = len(problem.gens), problem.width
+    G = np.array([[(g >> p) & 1 for p in range(width)] for g in problem.gens],
+                 dtype=float).reshape(m, width)
+    target = np.array([(problem.target >> p) & 1 for p in range(width)],
+                      dtype=float)
+    n = problem.fold_shift or 0
+    eye = np.eye(width)
+    rows = [np.hstack([-G.T, eye, 2 * eye, np.zeros((width, n))])]
+    lo, hi = [target], [target]
+    cost = np.concatenate([np.zeros(m), np.full(width, 0.0 if n else 1.0),
+                           np.zeros(width), np.ones(n)])
+    if n:
+        for half in (0, n):  # y_q - w_{half+q} >= 0
+            a = np.zeros((n, m + 2 * width + n))
+            a[:, m + half:m + half + n] = -np.eye(n)
+            a[:, m + 2 * width:] = np.eye(n)
+            rows.append(a)
+            lo.append(np.zeros(n))
+            hi.append(np.full(n, np.inf))
+    slack = (G.sum(axis=0) + 1) // 2
+    upper = np.concatenate([np.ones(m + width), slack, np.ones(n)])
+    res = milp(cost,
+               constraints=LinearConstraint(np.vstack(rows), np.concatenate(lo),
+                                            np.concatenate(hi)),
+               integrality=np.ones(len(cost)),
+               bounds=Bounds(np.zeros(len(cost)), upper),
+               options={"mip_rel_gap": 0})
+    if res.status != 0:
+        raise AssertionError(f"HiGHS did not prove optimality: {res.message}")
+    return round(res.fun)

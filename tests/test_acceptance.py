@@ -24,9 +24,9 @@ from holocode.seeds import (
     scf_tensor,
     steane_tensor,
 )
-from holocode.sim import simulate_code, write_curve_csv
+from holocode.sim import sample_fixed_weight_error, simulate_code, write_curve_csv
 from holocode.tiling import REFERENCE_BOUNDARY_COUNTS, build_tiling, counts
-from oracles import exhaustive_min
+from oracles import exhaustive_min, milp_min
 
 
 def report(criterion, text):
@@ -173,6 +173,41 @@ def test_criterion_4_oracle_equivalence():
             assert got == oracle
             total += 1
     report(4, f"trellis matches exhaustive enumeration on {total} syndromes")
+
+
+# Decodes checked against the paper's own integer program, per code: how
+# many sampled errors, and the most weight one may have as a fraction of n.
+# pentagon/zero R=3 joint decoding is left out: HiGHS takes 4-48 s there.
+MILP_DECODES = {
+    ("heptagon", "max", 3): (6, 10),
+    ("pentagon", "reduced", 3): (12, 4),
+    ("pentagon", "zero", 2): (12, 4),
+}
+
+
+def test_criterion_4_milp_supplement():
+    rng = np.random.default_rng(2025)
+    total = 0
+    start = time.monotonic()
+    for spec, (errors, frac) in MILP_DECODES.items():
+        code = build_code(*spec)
+        dec = CodeDecoder(code)
+        n = code.n
+        for _ in range(errors):
+            a = int(rng.integers(1, n // frac + 1))
+            err = sample_fixed_weight_error(n, a, rng)
+            if code.css:
+                yx, yz = dec.syndrome(err)
+                probs = [DecodeProblem(pure_error(dec.fx, yx), dec.z_gens, n),
+                         DecodeProblem(pure_error(dec.fz, yz), dec.x_gens, n)]
+            else:
+                e = pure_error(dec.f, dec.syndrome(err))
+                probs = [DecodeProblem(e, dec.sym_gens, 2 * n, fold_shift=n)]
+            for trellis, prob in zip(dec._trellises, probs):
+                assert trellis.minimize(prob.target)[0] == milp_min(prob)
+                total += 1
+    report(4, f"trellis matches HiGHS on {total} R=2,3 decodes "
+              f"({time.monotonic() - start:.1f} s)")
 
 
 # -- 5: distances -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Network contraction and boundary-code extraction."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -169,6 +170,70 @@ def test_codes_validate_at_radius_two():
         code = build_code(fam, var, 2, seed)
         code.validate()
         assert len(code.stabilizers) == code.n - code.k
+
+
+@pytest.fixture(scope="module")
+def heptagon_r2():
+    return build_code("heptagon", "max", 2)
+
+
+def _with_rep(code, qubit, **reps):
+    logicals = list(code.logicals)
+    logicals[qubit] = dataclasses.replace(logicals[qubit], **reps)
+    return dataclasses.replace(code, logicals=logicals)
+
+
+def _with_stabilizer(code, row, stab):
+    stabs = list(code.stabilizers)
+    stabs[row] = stab
+    return dataclasses.replace(code, stabilizers=stabs)
+
+
+def _anticommuting_single(code, stab):
+    """A single-qubit X or Z that anticommutes with the CSS stabilizer."""
+    q = (stab.x | stab.z).bit_length() - 1
+    return PauliVector.single(code.n, q, "Z" if stab.x else "X")
+
+
+def test_validate_names_each_fault(heptagon_r2):
+    code = heptagon_r2
+    code.validate()
+    s, lq = code.stabilizers, code.logicals
+    n = code.n
+    faults = [
+        (dataclasses.replace(code, stabilizers=s[1:]),
+         "stabilizer count != n - k"),
+        (_with_stabilizer(code, 0, _anticommuting_single(code, s[1])),
+         "stabilizers do not commute"),
+        (_with_stabilizer(code, 1, s[0].mul(s[2])),
+         "stabilizers dependent"),
+        (_with_rep(code, 0, x_rep=lq[0].x_rep.mul(
+            _anticommuting_single(code, s[0]))),
+         "logical rep anticommutes with a stabilizer"),
+        (_with_rep(code, 0, x_rep=PauliVector(n)),
+         "logical X/Z pairing broken"),
+        (_with_rep(code, 0, x_rep=lq[0].x_rep.mul(lq[1].z_rep)),
+         "logical reps of distinct qubits anticommute"),
+        (dataclasses.replace(code, css=False),
+         "css flag inconsistent with stabilizers"),
+    ]
+    for bad, message in faults:
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+
+
+def test_validate_reports_the_first_faulty_pair_like_the_pairwise_loop(
+        heptagon_r2):
+    # X_1 made to anticommute with X_2 (distinct-qubit fault at (1, 2))
+    # and to pair with Z_3 (pairing fault at (1, 3)): the first pair wins.
+    code = heptagon_r2
+    lq = code.logicals
+    bad = _with_rep(code, 1, x_rep=lq[1].x_rep.mul(lq[2].z_rep).mul(lq[3].x_rep))
+    with pytest.raises(ValueError, match="distinct qubits anticommute"):
+        bad.validate()
+    bad = _with_rep(code, 1, x_rep=lq[1].x_rep.mul(lq[3].z_rep).mul(lq[2].x_rep))
+    with pytest.raises(ValueError, match="pairing broken"):
+        bad.validate()
 
 
 def test_heptagon_r2_shape():

@@ -1,5 +1,6 @@
 """Exact MLE decoding: pure errors, the trellis minimizer and its oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from holocode.decoder import (
     pure_error,
 )
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
-from oracles import branch_and_bound_min, exhaustive_min
+from oracles import branch_and_bound_min, exhaustive_min, milp_min
 
 
 def trellis_min(problem):
@@ -100,6 +101,7 @@ def test_oracle_equivalence_random_problems():
         prob = DecodeProblem(rng.getrandbits(width), gens, width)
         w, v = trellis_min(prob)
         assert w == exhaustive_min(prob) == branch_and_bound_min(prob)
+        assert w == milp_min(prob)
         assert w == prob.weight_of(v)
 
 
@@ -153,6 +155,7 @@ def test_trellis_pauli_fold():
         prob = DecodeProblem(rng.getrandbits(2 * n), gens, 2 * n,
                              fold_shift=n)
         assert trellis_min(prob)[0] == branch_and_bound_min(prob)
+        assert trellis_min(prob)[0] == milp_min(prob)
 
 
 def test_trellis_state_limit_raises():
@@ -161,6 +164,34 @@ def test_trellis_state_limit_raises():
     CosetTrellis(gens, 7, state_limit=8)
     with pytest.raises(TrellisLimitError, match="above the limit of 4"):
         CosetTrellis(gens, 7, state_limit=4)
+
+
+# The minimum-weight element of a coset is often not unique; which one the
+# sweep returns is fixed by its strict ``W1 < W0`` merge rule and the merge
+# order.  These digests pin the (weight, combo) pairs themselves, so a
+# change of state layout that silently changes tie-breaks fails here.
+TIE_BREAK_DIGESTS = {
+    ("heptagon", "max", 2): "2821a2574d9c7b9a",  # both CSS sectors
+    ("pentagon", "zero", 2): "efec06608bd6df90",  # joint, Pauli weight
+    ("pentagon", "zero", 3): "9f15339330125477",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TIE_BREAK_DIGESTS))
+def test_trellis_tie_break_digest(spec):
+    code = build_code(*spec)
+    dec = CodeDecoder(code)
+    rng = random.Random(spec[2])
+    h = hashlib.sha256()
+    n = code.n
+    for trellis in dec._trellises:
+        for _ in range(150):
+            t = 0
+            for q in rng.sample(range(n), rng.randrange(1, n // 3 + 1)):
+                kind = rng.randrange(1, 4) if trellis.fold_shift else 1
+                t |= (kind & 1) << q | (kind >> 1) << (q + n)
+            h.update(repr(trellis.minimize(t)).encode())
+    assert h.hexdigest()[:16] == TIE_BREAK_DIGESTS[spec]
 
 
 @st.composite

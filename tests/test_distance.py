@@ -3,7 +3,13 @@
 import pytest
 
 from holocode.builder import build_code
-from holocode.distance import bit_distance, fit_distance_scaling, word_distance
+from holocode.decoder import CosetTrellis
+from holocode.distance import (
+    _symplectic_problem,
+    bit_distance,
+    fit_distance_scaling,
+    word_distance,
+)
 from holocode.gf2 import PauliVector
 
 # (family, variant): radius -> (bit, word); word is None for k = 1 codes
@@ -31,6 +37,21 @@ def test_word_distance_equals_bit_distance_for_single_logical():
     db = bit_distance(code, 0)
     dw = word_distance(code, 0)
     assert db.value == dw.value
+
+
+@pytest.mark.parametrize("radius,expected", [(1, 3), (2, 9), (3, 19)])
+def test_non_css_distance_is_the_same_for_every_logical_class(radius, expected):
+    # Non-CSS distances search the X-bar class only; the Z-bar and Y-bar
+    # classes of pentagon/zero give the same bit and word distances.
+    code = build_code("pentagon", "zero", radius)
+    lq = code.logicals[0]
+    n = code.n
+    for with_others in (False, True):
+        problem = _symplectic_problem(code, 0, with_others, "pauli")
+        trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
+        for rep in (lq.x_rep, lq.z_rep, lq.x_rep.mul(lq.z_rep)):
+            target = rep.x | (rep.z << n)
+            assert trellis.minimize(target)[0] == expected
 
 
 def test_word_never_exceeds_bit():

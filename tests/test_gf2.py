@@ -13,10 +13,12 @@ from holocode.gf2 import (
     kernel,
     parse_tableau,
     rank,
+    restrict,
     right_inverse,
     row_combination,
     rref,
     solve,
+    symplectic_gram,
     symplectic_product,
     vec_from_bits,
     vec_to_bits,
@@ -53,6 +55,47 @@ def test_symplectic_bilinearity():
         lhs = symplectic_product(a.mul(b), c)
         rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
         assert lhs == rhs
+
+
+@st.composite
+def paulis(draw, n):
+    mask = st.integers(0, (1 << n) - 1)
+    return PauliVector(n, draw(mask), draw(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(paulis(n), max_size=7)))
+def test_symplectic_gram_is_every_pairwise_product(gens):
+    gram = symplectic_gram(gens)
+    assert len(gram) == len(gens)
+    for i, a in enumerate(gens):
+        assert gram[i] == sum(symplectic_product(a, b) << j
+                              for j, b in enumerate(gens))
+
+
+def test_symplectic_gram_length_mismatch():
+    with pytest.raises(ValueError):
+        symplectic_gram([P("XX"), P("ZZZ")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(paulis(n), max_size=4), st.lists(st.integers(0, n + 2), max_size=10))))
+def test_restrict_matches_per_column_definition(case):
+    # columns may repeat and may lie past the last qubit (identity there)
+    ps, cols = case
+    out = restrict(ps, cols)
+    assert len(out) == len(ps)
+    for p, r in zip(ps, out):
+        assert r.n == len(cols)
+        for i, c in enumerate(cols):
+            assert (r.x >> i) & 1 == (p.x >> c) & 1
+            assert (r.z >> i) & 1 == (p.z >> c) & 1
+
+
+def test_restrict_length_mismatch():
+    with pytest.raises(ValueError):
+        restrict([P("XX"), P("ZZZ")], [0])
 
 
 def test_pauli_weights_and_strings():
