@@ -27,9 +27,8 @@ from .builder import (
 from .decoder import (
     CodeDecoder,
     CosetTrellis,
-    DecodeProblem,
     TrellisLimitError,
-    decode,
+    coset_sectors,
     pure_error,
 )
 from .distance import (
@@ -56,8 +55,8 @@ __all__ = [
     "TileGraph", "build_tiling", "counts",
     "HolographicCode", "build_code", "network_state", "contract_pair",
     "extract_code", "css_split",
-    "CodeDecoder", "CosetTrellis", "DecodeProblem", "TrellisLimitError",
-    "decode", "pure_error",
+    "CodeDecoder", "CosetTrellis", "TrellisLimitError", "coset_sectors",
+    "pure_error",
     "DistanceResult", "bit_distance", "word_distance",
     "fit_distance_scaling",
     "FailureCurve", "WeightRecord", "sample_fixed_weight_error",

@@ -291,24 +291,23 @@ def _combine(vecs: list, c: int) -> int:
     return v
 
 
-def _greedy_reduce(rep: PauliVector, rows: list) -> PauliVector:
-    """Multiply by rows while it lowers the Pauli weight.
-
-    Rows with disjoint support can only grow the weight, so they are
-    skipped without forming the product."""
-    improved = True
-    while improved:
-        improved = False
-        sup = rep.support
-        for s in rows:
-            if not (sup & s.support):
-                continue
-            cand = rep.mul(s)
-            if cand.weight() < rep.weight():
-                rep = cand
-                sup = rep.support
-                improved = True
-    return rep
+def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):
+    """One pass of multiplying v by each row, but row ``skip``, that
+    lowers its Pauli weight.  ``sups[j]`` is row j's support; rows with
+    disjoint support can only grow the weight, so they are skipped without
+    forming the product.  Returns (v, whether it changed)."""
+    sup = v.support
+    weight = sup.bit_count()
+    changed = False
+    for j, (row, row_sup) in enumerate(zip(rows, sups)):
+        if j == skip or not (sup & row_sup):
+            continue
+        cand = v.mul(row)
+        if cand.weight() < weight:
+            v, sup = cand, cand.support
+            weight = sup.bit_count()
+            changed = True
+    return v, changed
 
 
 def extract_code(state: NetworkState, graph: TileGraph,
@@ -372,32 +371,31 @@ def extract_code(state: NetworkState, graph: TileGraph,
         raise NotIsometryError(
             f"{len(stabilizers)} independent stabilizers, expected {n - k}"
         )
-    # Light greedy weight reduction of the basis, then of the reps.
-    # Disjoint-support pairs never reduce weight and are skipped.
+    # Light greedy weight reduction: two passes over the basis, then each
+    # representative until a pass changes nothing.
+    sups = [s.support for s in stabilizers]
     for _ in range(2):
         changed = False
-        for i in range(len(stabilizers)):
-            si = stabilizers[i]
-            sup = si.support
-            for j in range(len(stabilizers)):
-                if i == j or not (sup & stabilizers[j].support):
-                    continue
-                cand = si.mul(stabilizers[j])
-                if cand.weight() < si.weight():
-                    si = cand
-                    sup = si.support
-                    changed = True
-            stabilizers[i] = si
+        for i, s in enumerate(stabilizers):
+            s, changed_i = _reduce_pass(s, stabilizers, sups, i)
+            if changed_i:
+                stabilizers[i], sups[i] = s, s.support
+                changed = True
         if not changed:
             break
+
+    def reduce(rep):
+        changed = True
+        while changed:
+            rep, changed = _reduce_pass(rep, stabilizers, sups)
+        return rep
 
     layer = {t.id: t.layer for t in graph.tiles}
     out_logicals = []
     for ell, (xr, zr) in enumerate(logicals):
-        xr = _greedy_reduce(xr, stabilizers)
-        zr = _greedy_reduce(zr, stabilizers)
         tile_id = graph.bulk_legs[ell][0]
-        out_logicals.append(LogicalQubit(ell, layer[tile_id], xr, zr))
+        out_logicals.append(LogicalQubit(ell, layer[tile_id], reduce(xr),
+                                         reduce(zr)))
 
     css = all(s.x == 0 or s.z == 0 for s in stabilizers)
     code = HolographicCode(

@@ -163,7 +163,7 @@ def _parse_syndrome(text, bits):
 
 def cmd_decode(args):
     code = HolographicCode.load(args.code)
-    dec = CodeDecoder(code, objective=args.objective)
+    dec = CodeDecoder(code)
     n_checks = code.n - code.k
     y = _parse_syndrome(args.syndrome, n_checks)
     if code.css:
@@ -181,6 +181,17 @@ def cmd_decode(args):
 # -- distance ---------------------------------------------------------------
 
 
+def _distance_fields(code, qubit, sector="min"):
+    """A table row's bit distance fields, and its word distance fields when
+    k > 1 (with one logical qubit the two coincide)."""
+    db = bit_distance(code, qubit, sector=sector)
+    fields = {"bit_distance": db.value, "bit_certified": db.certified}
+    if code.k > 1:
+        dw = word_distance(code, qubit, sector=sector)
+        fields.update(word_distance=dw.value, word_certified=dw.certified)
+    return fields
+
+
 def cmd_distance(args):
     code = build_code(args.family, args.variant, args.radius, args.seed_code)
     if args.qubit == "all":
@@ -191,15 +202,10 @@ def cmd_distance(args):
         qubits = [int(args.qubit)]
     rows = []
     for q in qubits:
-        db = bit_distance(code, q, sector=args.sector)
         row = {"family": code.family, "variant": code.variant,
                "R": code.radius, "n": code.n, "qubit": q,
                "layer": code.logicals[q].layer,
-               "bit_distance": db.value, "bit_certified": db.certified}
-        if code.k > 1:
-            dw = word_distance(code, q, sector=args.sector)
-            row["word_distance"] = dw.value
-            row["word_certified"] = dw.certified
+               **_distance_fields(code, q, args.sector)}
         rows.append(row)
         print(json.dumps(row, sort_keys=True))
     if args.out:
@@ -235,16 +241,24 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_threshold(args):
-    curves = [read_curve_csv(p) for p in args.results]
+def _threshold_fields(curves):
+    """``estimate_threshold`` of the curves as JSON fields, or {"error": ...}
+    when no pair crosses."""
     try:
         p_th, bracket, pairs = estimate_threshold(curves)
     except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
+        return {"error": str(exc)}
+    return {"p_th": p_th, "bracket": list(bracket),
+            "pairs": [{"radii": list(p["radii"]), "crossing": p["crossing"]}
+                      for p in pairs]}
+
+
+def cmd_threshold(args):
+    curves = [read_curve_csv(p) for p in args.results]
+    out = _threshold_fields(curves)
+    if "error" in out:
+        print(json.dumps(out))
         return EXIT_INVARIANT
-    out = {"p_th": p_th, "bracket": list(bracket),
-           "pairs": [{"radii": list(p["radii"]), "crossing": p["crossing"]}
-                     for p in pairs]}
     text = json.dumps(out, indent=1, sort_keys=True)
     print(text)
     if args.out:
@@ -298,13 +312,8 @@ def _reproduce_table3(args):
                       "the trellis may exceed its state limit",
                       file=sys.stderr)
             code = build_code(fam, var, R)
-            db = bit_distance(code, 0)
             row = {"family": fam, "variant": var, "R": R, "n": code.n,
-                   "k": code.k, "bit_distance": db.value,
-                   "bit_certified": db.certified}
-            if code.k > 1:
-                dw = word_distance(code, 0)
-                row.update(word_distance=dw.value, word_certified=dw.certified)
+                   "k": code.k, **_distance_fields(code, 0)}
             rows.append(row)
             print(json.dumps(row, sort_keys=True))
     path = os.path.join(args.out_dir, "table3.json")
@@ -321,10 +330,10 @@ def _reproduce_fig5(args):
     points_w = []
     for R in range(1, args.max_radius + 1):
         code = build_code("heptagon", "max", R)
-        db = bit_distance(code, 0)
-        dw = word_distance(code, 0)
-        points_b.append((code.n, db.value, db.certified))
-        points_w.append((code.n, dw.value, dw.certified))
+        d = _distance_fields(code, 0)
+        points_b.append((code.n, d["bit_distance"], d["bit_certified"]))
+        points_w.append((code.n, d.get("word_distance", d["bit_distance"]),
+                         d.get("word_certified", d["bit_certified"])))
     out = {"bit_points": points_b, "word_points": points_w}
     cert_b = [(n, d) for n, d, c in points_b if c]
     cert_w = [(n, d) for n, d, c in points_w if c]
@@ -357,7 +366,6 @@ def _reproduce_fig3(args):
         args.radii = default_radii
     radii = [int(r) for r in args.radii.split(",")]
     curves = []
-    rc = EXIT_OK
     for R in radii:
         if args.id == "fig3c" and R > 2:
             print(f"warning: {fam}/{var} R={R} joint decoding is above desk "
@@ -370,16 +378,7 @@ def _reproduce_fig3(args):
         write_curve_csv(curve, path)
         print(f"wrote {path}")
         curves.append(curve)
-    out = {}
-    if len(curves) >= 2:
-        try:
-            p_th, bracket, pairs = estimate_threshold(curves)
-            out = {"p_th": p_th, "bracket": list(bracket),
-                   "pairs": [{"radii": list(p["radii"]),
-                              "crossing": p["crossing"]} for p in pairs]}
-        except ValueError as exc:
-            out = {"error": str(exc)}
-            rc = EXIT_INVARIANT
+    out = _threshold_fields(curves) if len(curves) >= 2 else {}
     text = json.dumps(out, indent=1, sort_keys=True)
     print(text)
     with open(os.path.join(args.out_dir, f"{args.id}_threshold.json"), "w") as fh:
@@ -387,7 +386,7 @@ def _reproduce_fig3(args):
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
                     _resolved(args, ["id", "radii", "trials", "seed",
                                      "out_dir"]))
-    return rc
+    return EXIT_INVARIANT if "error" in out else EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -421,8 +420,6 @@ def make_parser():
     p.add_argument("--code", required=True, help="code file prefix")
     p.add_argument("--syndrome", required=True,
                    help="binary (left-to-right, X checks first) or hex")
-    p.add_argument("--objective", choices=["hamming", "pauli"],
-                   default="pauli")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("distance", help="bit/word distances")

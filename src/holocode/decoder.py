@@ -5,8 +5,10 @@ A syndrome is mapped to a pure error through the inverse syndrome former
 of the coset spanned by stabilizer and logical generators is then found
 exactly by a Viterbi sweep over a precomputed minimal trellis
 (``CosetTrellis``, the minimal trellis of McEliece, "On the BCJR trellis
-for linear block codes", IEEE Trans. IT 1996).  The same minimizer serves
-decoding and distances.  Its state bits are kept ordered by where their
+for linear block codes", IEEE Trans. IT 1996).  ``coset_sectors`` turns a
+code into these coset problems, one per error sector; decoding and the
+distances of ``holocode.distance`` read the same sector rows and use the
+same minimizer.  The trellis keeps its state bits ordered by where their
 rows end, so a sweep is slices, repeats and adds over one weight array
 and the trellis stores one small cost row per column and target pattern.
 A trellis whose state profile exceeds its limit raises
@@ -23,7 +25,6 @@ is exact, and the tests check it against this program.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +40,6 @@ def _fold(v: int, fold_shift: int | None) -> int:
     if fold_shift is None:
         return v
     return (v | (v >> fold_shift)) & ((1 << fold_shift) - 1)
-
-
-@dataclass
-class DecodeProblem:
-    """Minimum-weight coset search instance over packed bit-vectors.
-
-    The coset is ``target`` plus the span of ``gens``.  When
-    ``fold_shift`` is set the vectors are symplectic (x || z) pairs and the
-    weight of a vector is the number of active positions after OR-folding
-    the two halves (Pauli weight); otherwise plain Hamming weight is used.
-    """
-
-    target: int
-    gens: list
-    width: int
-    fold_shift: int | None = None
-
-    def weight_of(self, v: int) -> int:
-        return self.fold(v).bit_count()
-
-    def fold(self, v: int) -> int:
-        return _fold(v, self.fold_shift)
 
 
 def pure_error(F: Gf2Matrix, y: int) -> int:
@@ -241,63 +220,85 @@ class CosetTrellis:
         return weight, combo
 
 
-class CodeDecoder:
-    """Per-code decoding context with precomputed check matrices, ISFs
-    and coset trellises.
+def _pack(p: PauliVector) -> int:
+    """A Pauli as one x || z vector."""
+    return p.x | (p.z << p.n)
 
-    For CSS codes the two sectors are decoded independently and the
-    objective flag is irrelevant.  For non-CSS codes the default objective
-    is Pauli weight (the most likely single error under depolarizing
-    noise); "hamming" minimizes popcount(x) + popcount(z) instead, which
-    treats a Y as two errors and cannot always correct single-qubit Ys.
+
+def coset_sectors(code: HolographicCode):
+    """The code's coset problems, one per error sector.
+
+    Each sector is (stabilizer rows, logical rows of each bulk qubit,
+    width, fold_shift).  A CSS code gives the Z-error sector (Z-type
+    stabilizers, Z-bar per qubit) and then the X-error sector (X-type
+    stabilizers, X-bar per qubit), both under Hamming weight.  Any other
+    code gives one sector of x || z vectors under Pauli weight, with X-bar
+    then Z-bar per qubit.  Decoding minimizes over the stabilizers and all
+    logical rows; a distance of qubit i targets its first logical row.
+    """
+    n = code.n
+    if code.css:
+        sx, sz, (x_reps, z_reps) = css_split(code)
+        return [(sz.rows, [[r] for r in z_reps], n, None),
+                (sx.rows, [[r] for r in x_reps], n, None)]
+    logicals = [[_pack(lq.x_rep), _pack(lq.z_rep)] for lq in code.logicals]
+    return [([_pack(s) for s in code.stabilizers], logicals, 2 * n, n)]
+
+
+class CodeDecoder:
+    """Per-code decoding context: a check matrix, an ISF and a coset
+    trellis per sector of ``coset_sectors``.
+
+    CSS codes decode their Z-error and X-error sectors independently, each
+    under Hamming weight; other codes solve one joint problem under Pauli
+    weight (the most likely single error under depolarizing noise).
     """
 
-    def __init__(self, code: HolographicCode, objective: str = "pauli"):
-        self.code = code
-        self.objective = objective
+    def __init__(self, code: HolographicCode):
         n = code.n
         self.n = n
+        sectors = coset_sectors(code)
+        gens = [stabs + [r for rows in logicals for r in rows]
+                for stabs, logicals, _, _ in sectors]
+        # A sector's vectors are bits [lo, lo + width) of a Pauli packed
+        # x || z, so each sector below carries (checks, ISF, lo).
         if code.css:
             self.mode = "css"
-            sx, sz, (x_reps, z_reps) = css_split(code)
-            self.sx = sx
-            self.sz = sz
-            self.fx = right_inverse(sx)
-            self.fz = right_inverse(sz)
-            # Z-error sector: X-type checks, Z-type coset generators.
-            self.z_gens = [s.z for s in code.stabilizers if s.z] + z_reps
-            self.x_gens = [s.x for s in code.stabilizers if s.x] + x_reps
-            self._trellises = (
-                CosetTrellis(self.z_gens, n),
-                CosetTrellis(self.x_gens, n),
-            )
+            self.z_gens, self.x_gens = gens
+            # Z errors (the z half) meet the X-type checks, X errors (the x
+            # half) the Z-type ones.
+            self.sx = Gf2Matrix(sectors[1][0], n)
+            self.sz = Gf2Matrix(sectors[0][0], n)
+            self.fx = right_inverse(self.sx)
+            self.fz = right_inverse(self.sz)
+            checks = [(self.sx, self.fx, n), (self.sz, self.fz, 0)]
         else:
             self.mode = "symplectic"
-            rows = [s.z | (s.x << n) for s in code.stabilizers]
-            self.h = Gf2Matrix(rows, 2 * n)
+            (self.sym_gens,) = gens
+            # With v packed x || z, parity(v & (s.z || s.x)) is <v, s>.
+            nmask = (1 << n) - 1
+            self.h = Gf2Matrix([(r >> n) | ((r & nmask) << n)
+                                for r in sectors[0][0]], 2 * n)
             self.f = right_inverse(self.h)
-            gens = [s.x | (s.z << n) for s in code.stabilizers]
-            for lq in code.logicals:
-                gens.append(lq.x_rep.x | (lq.x_rep.z << n))
-                gens.append(lq.z_rep.x | (lq.z_rep.z << n))
-            self.sym_gens = gens
-            fold = n if objective == "pauli" else None
-            self._trellises = (
-                CosetTrellis(self.sym_gens, 2 * n, fold_shift=fold),
-            )
+            checks = [(self.h, self.f, 0)]
+        self._sectors = [
+            (H, F, CosetTrellis(g, width, fold_shift=fold), g, lo,
+             (1 << width) - 1)
+            for (H, F, lo), g, (_, _, width, fold) in zip(checks, gens, sectors)]
+        self._trellises = [sector[2] for sector in self._sectors]
         # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
         # as z || x, parity(v & P) is the symplectic product <v, P>.
-        self._partners = [(lq.z_rep.x | (lq.z_rep.z << n),
-                           lq.x_rep.x | (lq.x_rep.z << n))
+        self._partners = [(_pack(lq.z_rep), _pack(lq.x_rep))
                           for lq in code.logicals]
 
     # -- syndromes ---------------------------------------------------------
 
     def syndrome(self, err: PauliVector):
         """CSS codes: (x-check syndrome, z-check syndrome); else one vector."""
-        if self.mode == "css":
-            return self.sx.mul_vec(err.z), self.sz.mul_vec(err.x)
-        return self.h.mul_vec(err.x | (err.z << self.n))
+        w = _pack(err)
+        ys = tuple(H.mul_vec((w >> lo) & mask)
+                   for H, _, _, _, lo, mask in self._sectors)
+        return ys if self.mode == "css" else ys[0]
 
     def syndrome_is_zero(self, err: PauliVector) -> bool:
         s = self.syndrome(err)
@@ -308,29 +309,18 @@ class CodeDecoder:
     def decode(self, syndrome):
         """Return (correction PauliVector, certificate flag).
 
-        CSS mode expects the (x-check, z-check) syndrome pair and solves
-        the two sectors independently; symplectic mode solves one joint
-        problem over 2n binary variables.  The trellis is exact, so the
-        flag is always True; it is kept for callers that record it.
+        Takes what ``syndrome`` returns and minimizes each sector's coset
+        of its pure error.  The trellis is exact, so the flag is always
+        True; it is kept for callers that record it.
         """
-        if self.mode == "css":
-            yx, yz = syndrome
-            ez = self.fx.mul_vec(yx)
-            if self.sx.mul_vec(ez) != yx:
+        ys = syndrome if self.mode == "css" else (syndrome,)
+        v = 0
+        for (H, F, trellis, gens, lo, _), y in zip(self._sectors, ys):
+            e = F.mul_vec(y)
+            if H.mul_vec(e) != y:
                 raise AssertionError("pure error does not satisfy the syndrome")
-            ex = self.fz.mul_vec(yz)
-            if self.sz.mul_vec(ex) != yz:
-                raise AssertionError("pure error does not satisfy the syndrome")
-            vz = self._apply(self._trellises[0], self.z_gens, ez)
-            vx = self._apply(self._trellises[1], self.x_gens, ex)
-            return PauliVector(self.n, vx, vz), True
-        y = syndrome
-        e = self.f.mul_vec(y)
-        if self.h.mul_vec(e) != y:
-            raise AssertionError("pure error does not satisfy the syndrome")
-        v = self._apply(self._trellises[0], self.sym_gens, e)
-        nmask = (1 << self.n) - 1
-        return PauliVector(self.n, v & nmask, v >> self.n), True
+            v |= self._apply(trellis, gens, e) << lo
+        return PauliVector(self.n, v & ((1 << self.n) - 1), v >> self.n), True
 
     @staticmethod
     def _apply(trellis: CosetTrellis, gens, target: int) -> int:
@@ -343,9 +333,6 @@ class CodeDecoder:
         if _fold(v, trellis.fold_shift).bit_count() != weight:
             raise AssertionError("trellis weight differs from its correction's")
         return v
-
-    def decode_error(self, err: PauliVector):
-        return self.decode(self.syndrome(err))
 
     # -- logical effect ----------------------------------------------------
 
@@ -362,9 +349,3 @@ class CodeDecoder:
         w = v.z | (v.x << self.n)
         return ["IXZY"[parity(w & zb) + 2 * parity(w & xb)]
                 for zb, xb in self._partners]
-
-
-def decode(code: HolographicCode, syndrome,
-           objective: str = "pauli") -> PauliVector:
-    """One-shot decode; prefer CodeDecoder for repeated use."""
-    return CodeDecoder(code, objective).decode(syndrome)[0]

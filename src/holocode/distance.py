@@ -4,7 +4,9 @@ The bit distance of qubit i is the minimum weight of a representative of
 its logical class that acts trivially on all other logical qubits (coset
 over stabilizers only).  The word distance also allows non-trivial action
 on the other qubits (coset over stabilizers plus the other qubits' logical
-rows) and is never larger.
+rows) and is never larger.  Both read the sectors of
+``decoder.coset_sectors``, the rows the decoder minimizes over, and target
+qubit i's first logical row there.
 """
 
 from __future__ import annotations
@@ -14,83 +16,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import HolographicCode, css_split
-from .decoder import CosetTrellis, DecodeProblem
+from .builder import HolographicCode
+from .decoder import CosetTrellis, coset_sectors
 
 
 @dataclass
 class DistanceResult:
     qubit: int
-    sector: str  # "x", "z" or "pauli"
+    sector: str  # "x", "z", "min" or "pauli"
     kind: str  # "bit" or "word"
     value: int
     certified: bool  # always True: the trellis minimum is exact
 
 
-def _sector_problem(code, qubit, sector, include_other_logicals):
-    sx, sz, (x_reps, z_reps) = css_split(code)
-    if sector == "x":
-        target = x_reps[qubit]
-        gens = list(sx.rows)
-        others = [x_reps[j] for j in range(code.k) if j != qubit]
-    else:
-        target = z_reps[qubit]
-        gens = list(sz.rows)
-        others = [z_reps[j] for j in range(code.k) if j != qubit]
-    if include_other_logicals:
-        gens += others
-    return DecodeProblem(target, gens, code.n)
-
-
-def _symplectic_problem(code, qubit, include_other_logicals, objective):
-    n = code.n
-    target = code.logicals[qubit].x_rep
-    target_v = target.x | (target.z << n)
-    gens = [s.x | (s.z << n) for s in code.stabilizers]
-    if include_other_logicals:
-        for j, lq in enumerate(code.logicals):
-            if j != qubit:
-                gens.append(lq.x_rep.x | (lq.x_rep.z << n))
-                gens.append(lq.z_rep.x | (lq.z_rep.z << n))
-    fold = n if objective == "pauli" else None
-    return DecodeProblem(target_v, gens, 2 * n, fold_shift=fold)
-
-
-def _run(problem):
-    trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
-    return trellis.minimize(problem.target)[0]
-
-
-def bit_distance(code: HolographicCode, qubit: int = 0, sector: str = "min",
-                 objective: str = "pauli") -> DistanceResult:
+def bit_distance(code: HolographicCode, qubit: int = 0,
+                 sector: str = "min") -> DistanceResult:
     """Minimum weight of qubit i's logical class modulo stabilizers only.
 
     For CSS codes the X and Z sectors are solved separately; sector "min"
     reports the smaller of the two.  Non-CSS codes use one joint search
-    over the full symplectic vector, by default minimizing Pauli weight;
-    ``objective="hamming"`` counts a Y as two errors instead.
+    over the full symplectic vector under Pauli weight, targeting X-bar.
     """
-    return _distance(code, qubit, sector, False, objective, "bit")
+    return _distance(code, qubit, sector, False, "bit")
 
 
-def word_distance(code: HolographicCode, qubit: int = 0, sector: str = "min",
-                  objective: str = "pauli") -> DistanceResult:
+def word_distance(code: HolographicCode, qubit: int = 0,
+                  sector: str = "min") -> DistanceResult:
     """Minimum weight of any logical operator with support on qubit i."""
-    return _distance(code, qubit, sector, True, objective, "word")
+    return _distance(code, qubit, sector, True, "word")
 
 
-def _distance(code, qubit, sector, with_others, objective, kind):
+def _distance(code, qubit, sector, with_others, kind):
     if not 0 <= qubit < code.k:
         raise ValueError("qubit index out of range")
-    if code.css:
-        if sector in ("x", "z"):
-            w = _run(_sector_problem(code, qubit, sector, with_others))
-            return DistanceResult(qubit, sector, kind, w, True)
-        wx = _run(_sector_problem(code, qubit, "x", with_others))
-        wz = _run(_sector_problem(code, qubit, "z", with_others))
-        return DistanceResult(qubit, "min", kind, min(wx, wz), True)
-    w = _run(_symplectic_problem(code, qubit, with_others, objective))
-    return DistanceResult(qubit, "pauli", kind, w, True)
+    names = ("z", "x") if code.css else ("pauli",)
+    if sector not in names:
+        sector = "min" if code.css else "pauli"
+    weights = []
+    for name, (stabs, logicals, width, fold) in zip(names, coset_sectors(code)):
+        if sector not in (name, "min"):
+            continue
+        rows = list(stabs)
+        if with_others:
+            rows += [r for j, qubit_rows in enumerate(logicals) if j != qubit
+                     for r in qubit_rows]
+        trellis = CosetTrellis(rows, width, fold_shift=fold)
+        weights.append(trellis.minimize(logicals[qubit][0])[0])
+    return DistanceResult(qubit, sector, kind, min(weights), True)
 
 
 def fit_distance_scaling(points):

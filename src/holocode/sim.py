@@ -171,38 +171,40 @@ def _run_chunk(decoder, code_key, target, a, trials, seed):
     for t in trials:
         rng = _trial_rng(seed, code_key, a, t)
         err = sample_fixed_weight_error(n, a, rng)
-        syn = decoder.syndrome(err)
-        corr, _ = decoder.decode(syn)
-        net = err.mul(corr)
-        if not decoder.syndrome_is_zero(net):
+        corr, _ = decoder.decode(decoder.syndrome(err))
+        effect = decoder.net_logical_effect(err.mul(corr))
+        if effect == "detectable":
             raise AssertionError("correction does not satisfy the syndrome")
-        effect = decoder.net_logical_effect(net)
         if effect[target] != "I":
             fails += 1
     return fails
 
 
+# Trials per task.  Curves do not depend on it: every trial's stream is
+# keyed by its own index.
+_CHUNK = 200
+
 _WORKER = {}
 
 
-def _worker_init(code, objective):
-    _WORKER["decoder"] = CodeDecoder(code, objective=objective)
+def _worker_init(code):
+    _WORKER["decoder"] = CodeDecoder(code)
 
 
-def _worker_chunk(args):
+def _worker_chunk(args, decoder=None):
+    """One task's failures; workers use the decoder ``_worker_init`` made."""
     code_key, target, a, lo, hi, seed = args
-    return a, _run_chunk(_WORKER["decoder"], code_key, target, a,
+    return a, _run_chunk(decoder or _WORKER["decoder"], code_key, target, a,
                          range(lo, hi), seed)
 
 
 def run_trials(code: HolographicCode, target_qubit: int, a: int, m: int,
-               seed: int, decoder: CodeDecoder | None = None,
-               objective: str = "pauli") -> WeightRecord:
+               seed: int, decoder: CodeDecoder | None = None) -> WeightRecord:
     """m decode trials at fixed error weight a; failures counted on the
     target qubit."""
     if m < 1:
         raise ValueError("need at least one trial")
-    dec = decoder or CodeDecoder(code, objective=objective)
+    dec = decoder or CodeDecoder(code)
     f = _run_chunk(dec, _code_key(code, target_qubit), target_qubit, a,
                    range(m), seed)
     return WeightRecord(a, m, f)
@@ -210,9 +212,7 @@ def run_trials(code: HolographicCode, target_qubit: int, a: int, m: int,
 
 def simulate_code(code: HolographicCode, target_qubit: int = 0,
                   trials_per_weight: int = 1000, seed: int = 0,
-                  weights="auto", threads: int = 1,
-                  objective: str = "pauli",
-                  chunk: int = 200) -> FailureCurve:
+                  weights="auto", threads: int = 1) -> FailureCurve:
     """Estimate P_failure(a, n) over an error-weight schedule.
 
     ``weights`` is "all" (every 0..n), "auto" (all for n <= 50, else an
@@ -228,22 +228,21 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     dec = None
     if threads > 1:
         pool = ProcessPoolExecutor(
-            max_workers=threads, initializer=_worker_init,
-            initargs=(code, objective),
+            max_workers=threads, initializer=_worker_init, initargs=(code,),
         )
     else:
-        dec = CodeDecoder(code, objective=objective)
+        dec = CodeDecoder(code)
 
     def measure(a_list, m):
         tasks = []
         for a in sorted(a_list):
-            for lo in range(0, m, chunk):
-                tasks.append((key, target_qubit, a, lo, min(lo + chunk, m), seed))
+            for lo in range(0, m, _CHUNK):
+                tasks.append((key, target_qubit, a, lo, min(lo + _CHUNK, m), seed))
         tally = {a: 0 for a in a_list}
         if pool is not None:
             results = pool.map(_worker_chunk, tasks)
         else:
-            results = (_worker_chunk_local(dec, args) for args in tasks)
+            results = (_worker_chunk(args, dec) for args in tasks)
         for a, f in results:
             tally[a] += f
         for a in sorted(a_list):
@@ -267,11 +266,6 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
             pool.shutdown()
     curve.records.sort(key=lambda r: r.a)
     return curve
-
-
-def _worker_chunk_local(decoder, args):
-    code_key, target, a, lo, hi, seed = args
-    return a, _run_chunk(decoder, code_key, target, a, range(lo, hi), seed)
 
 
 def _coarse_grid(n: int, points: int = 20) -> list:

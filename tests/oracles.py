@@ -6,8 +6,34 @@ own weight (Hamming, or Pauli weight when ``fold_shift`` is set).  None
 shares code with the trellis.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+
+@dataclass
+class DecodeProblem:
+    """Minimum-weight coset search instance over packed bit-vectors.
+
+    The coset is ``target`` plus the span of ``gens``.  When
+    ``fold_shift`` is set the vectors are symplectic (x || z) pairs and the
+    weight of a vector is the number of active positions after OR-folding
+    the two halves (Pauli weight); otherwise plain Hamming weight is used.
+    """
+
+    target: int
+    gens: list
+    width: int
+    fold_shift: int | None = None
+
+    def weight_of(self, v: int) -> int:
+        return self.fold(v).bit_count()
+
+    def fold(self, v: int) -> int:
+        if self.fold_shift is None:
+            return v
+        return (v | (v >> self.fold_shift)) & ((1 << self.fold_shift) - 1)
 
 
 def exhaustive_min(problem):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from holocode.builder import DEFAULT_SEEDS, ORIENTATIONS, build_code, css_split
-from holocode.decoder import CodeDecoder, CosetTrellis, DecodeProblem, pure_error
+from holocode.decoder import CodeDecoder, CosetTrellis, pure_error
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
 from holocode.seeds import (
@@ -26,7 +26,7 @@ from holocode.seeds import (
 )
 from holocode.sim import sample_fixed_weight_error, simulate_code, write_curve_csv
 from holocode.tiling import REFERENCE_BOUNDARY_COUNTS, build_tiling, counts
-from oracles import exhaustive_min, milp_min
+from oracles import DecodeProblem, exhaustive_min, milp_min
 
 
 def report(criterion, text):

@@ -89,9 +89,10 @@ def test_decode_mode_flag_is_gone(tmp_path, capsys):
     out = str(tmp_path / "code")
     run(["build", "--family", "heptagon", "--variant", "max", "--radius", "1",
          "--out", out], capsys)
-    rc, _, _ = run(["decode", "--code", out, "--syndrome", "0x1",
-                    "--mode", "symplectic"], capsys)
-    assert rc == 4
+    for flag in (["--mode", "symplectic"], ["--objective", "pauli"]):
+        rc, _, _ = run(["decode", "--code", out, "--syndrome", "0x1", *flag],
+                       capsys)
+        assert rc == 4, flag
 
 
 def test_trellis_state_limit_exits_3(monkeypatch, capsys):

@@ -11,12 +11,11 @@ from holocode.builder import build_code, css_split
 from holocode.decoder import (
     CodeDecoder,
     CosetTrellis,
-    DecodeProblem,
     TrellisLimitError,
     pure_error,
 )
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
-from oracles import branch_and_bound_min, exhaustive_min, milp_min
+from oracles import DecodeProblem, branch_and_bound_min, exhaustive_min, milp_min
 
 
 def trellis_min(problem):

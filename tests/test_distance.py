@@ -3,14 +3,9 @@
 import pytest
 
 from holocode.builder import build_code
-from holocode.decoder import CosetTrellis
-from holocode.distance import (
-    _symplectic_problem,
-    bit_distance,
-    fit_distance_scaling,
-    word_distance,
-)
-from holocode.gf2 import PauliVector
+from holocode.decoder import CosetTrellis, coset_sectors
+from holocode.distance import bit_distance, fit_distance_scaling, word_distance
+from oracles import DecodeProblem, milp_min
 
 # (family, variant): radius -> (bit, word); word is None for k = 1 codes
 REFERENCE = {
@@ -42,16 +37,43 @@ def test_word_distance_equals_bit_distance_for_single_logical():
 @pytest.mark.parametrize("radius,expected", [(1, 3), (2, 9), (3, 19)])
 def test_non_css_distance_is_the_same_for_every_logical_class(radius, expected):
     # Non-CSS distances search the X-bar class only; the Z-bar and Y-bar
-    # classes of pentagon/zero give the same bit and word distances.
+    # classes of pentagon/zero give the same bit and word distances.  With
+    # k = 1 there are no other logical rows, so the bit and word cosets are
+    # both the stabilizer span.
     code = build_code("pentagon", "zero", radius)
-    lq = code.logicals[0]
+    assert code.k == 1
+    [(stabs, [(xbar, zbar)], width, fold)] = coset_sectors(code)
+    trellis = CosetTrellis(stabs, width, fold_shift=fold)
+    for target in (xbar, zbar, xbar ^ zbar):
+        assert trellis.minimize(target)[0] == expected
+    assert bit_distance(code, 0).value == word_distance(code, 0).value == expected
+
+
+def test_non_css_distances_with_many_logicals_match_milp():
+    # pentagon/max R=2 on the five-qubit seed: n=25, k=11, not CSS.  The
+    # oracle's rows come straight from the code: stabilizers (plus the
+    # other qubits' X-bar and Z-bar for a word distance), X-bar as target,
+    # Pauli weight.  Qubit 3 has word distance 4 below its bit distance 5.
+    code = build_code("pentagon", "max", 2, "five_qubit")
+    assert (code.n, code.k, code.css) == (25, 11, False)
     n = code.n
-    for with_others in (False, True):
-        problem = _symplectic_problem(code, 0, with_others, "pauli")
-        trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
-        for rep in (lq.x_rep, lq.z_rep, lq.x_rep.mul(lq.z_rep)):
-            target = rep.x | (rep.z << n)
-            assert trellis.minimize(target)[0] == expected
+
+    def pack(p):
+        return p.x | (p.z << n)
+
+    def oracle(qubit, with_others):
+        rows = [pack(s) for s in code.stabilizers]
+        if with_others:
+            rows += [pack(rep) for j, lq in enumerate(code.logicals)
+                     if j != qubit for rep in (lq.x_rep, lq.z_rep)]
+        target = pack(code.logicals[qubit].x_rep)
+        return milp_min(DecodeProblem(target, rows, 2 * n, fold_shift=n))
+
+    for q in range(1, code.k):
+        assert bit_distance(code, q).value == oracle(q, False)
+    for q in (3, 6):
+        assert word_distance(code, q).value == oracle(q, True)
+    assert word_distance(code, 3).value == 4 < bit_distance(code, 3).value
 
 
 def test_word_never_exceeds_bit():
