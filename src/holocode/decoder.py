@@ -9,8 +9,9 @@ for linear block codes", IEEE Trans. IT 1996).  ``coset_sectors`` turns a
 code into these coset problems, one per error sector; decoding and the
 distances of ``holocode.distance`` read the same sector rows and use the
 same minimizer.  The trellis keeps its state bits ordered by where their
-rows end, so a sweep is slices, repeats and adds over one weight array
-and the trellis stores one small cost row per column and target pattern.
+rows end, so a sweep is slices, repeats and adds over one weight array,
+and it stores one parity byte per state and column, which the sweep
+compares with the target's bits there.
 A trellis whose state profile exceeds its limit raises
 ``TrellisLimitError`` instead of returning an uncertified answer.
 
@@ -120,9 +121,16 @@ class CosetTrellis:
     they end, rows ending together in reverse start order, and state bit
     b holds the coefficient of the b-th of them.  So every merge drops
     bit 0 (a pair of strided slices), and a new row's bit is inserted at
-    its rank.  A column stores only a ``uint8`` cost row per pattern of
-    target bits there.  The layout permutes storage only: the merge
-    sequence, and with it every tie-break, is that of any other layout.
+    its rank.  A column stores one ``uint8`` per state, the parity of the
+    state's rows at each target bit there (bit s for target bit s).  The
+    layout permutes storage only: the merge sequence, and with it every
+    tie-break, is that of any other layout.
+
+    The sweep adds weights in ``int16``, or ``int32`` from 2^15 positions
+    on.  A one-bit column adds the parity, or, where the target bit is 1,
+    subtracts it and adds 1 to an offset shared by every state; a merge
+    compares differences, which the offset leaves alone.  A Pauli-folded
+    column adds 1 where the parities differ from the target's bit pair.
     """
 
     def __init__(self, gens, width: int, fold_shift: int | None = None,
@@ -152,10 +160,11 @@ class CosetTrellis:
         for i, r in enumerate(rows):
             start_at[((r & -r).bit_length() - 1) // stride].append(i)
 
-        # ops: ("branch", row, bit) ("emit", shift, pattern, cost) ("merge", row)
+        # ops: ("branch", row, bit) ("emit", shift, pattern, code) ("merge", row)
         self.schedule = []
         pattern = (1 << stride) - 1
-        patterns = np.arange(pattern + 1, dtype=np.uint8)[:, None]
+        # Weights stay within [-positions, positions]; see ``minimize``.
+        self._wtype = np.int16 if positions < 1 << 15 else np.int32
         active = []  # state bit -> (end position, -row), ascending
         for p in range(positions):
             for i in start_at[p]:
@@ -170,13 +179,12 @@ class CosetTrellis:
             # code: bit s is the parity of the state's rows at target bit s;
             # a position costs 1 unless it equals the target's bits there.
             idx = np.arange(1 << len(active), dtype=np.uint32)
-            code = 0
+            code = np.zeros(1 << len(active), dtype=np.uint8)
             for s in range(stride):
                 mask = sum(((rows[-neg] >> (stride * p + s)) & 1) << b
                            for b, (_, neg) in enumerate(active))
-                code = code | (np.bitwise_count(idx & np.uint32(mask)) & 1) << s
-            cost = (code != patterns).view(np.uint8)
-            self.schedule.append(("emit", stride * p, pattern, cost))
+                code |= (np.bitwise_count(idx & np.uint32(mask)) & 1) << s
+            self.schedule.append(("emit", stride * p, pattern, code))
             while active and active[0][0] == p:
                 self.schedule.append(("merge", -active.pop(0)[1]))
         if active:
@@ -187,12 +195,23 @@ class CosetTrellis:
     def minimize(self, target: int):
         """(weight, combo mask over the original generators)."""
         t = target if self.fold_shift is None else gather_bits(target, self._spread)
-        W = np.zeros(1, dtype=np.int32)
+        W = np.zeros(1, dtype=self._wtype)
+        offset = 0
         sels = []
         for op in self.schedule:
             kind = op[0]
             if kind == "emit":
-                W += op[3][(t >> op[1]) & op[2]]
+                # A one-bit column costs b + (1 - 2b) * code at target bit
+                # b: add the code, or subtract it and carry the 1 in a
+                # shared offset.
+                if op[2] == 1:
+                    if (t >> op[1]) & 1:
+                        W -= op[3]
+                        offset += 1
+                    else:
+                        W += op[3]
+                else:
+                    W += op[3] != (t >> op[1]) & op[2]
             elif kind == "branch":
                 W = W.reshape(-1, 1 << op[2]).repeat(2, axis=0).ravel()
             else:  # merge: drop state bit 0, keeping 0 on ties
@@ -200,7 +219,7 @@ class CosetTrellis:
                 W1 = W[1::2]
                 sels.append(W1 < W0)
                 W = np.minimum(W0, W1)
-        weight = int(W[0])
+        weight = int(W[0]) + offset
 
         # Backtrace: a merge restores state bit 0 from its choice, and a
         # branch reads its row's coefficient from the bit it inserted.

@@ -4,9 +4,11 @@ Fixed-weight depolarizing errors are decoded trial by trial; the
 per-weight failure estimates are binomially mixed into a failure curve
 against the physical error rate, and thresholds are read off curve
 crossings between radii.  Every trial's randomness comes from a
-counter-based generator keyed by (seed, code, weight, trial index), so
-results are bit-reproducible regardless of how trials are distributed
-over workers.
+counter-based Philox generator keyed by (seed, code, weight) whose
+counter starts at the trial index, so results are bit-reproducible
+regardless of how trials are distributed over workers.  The streams are
+not independent: Philox4x64 advances its counter once per four outputs,
+so trial t + 1 draws trial t's outputs from the fifth on.
 """
 
 from __future__ import annotations
@@ -299,10 +301,13 @@ def estimate_threshold(curves, p_lo: float = 0.005, p_hi: float = 0.5,
                        grid: int = 200, iters: int = 60):
     """Crossing point of failure curves at adjacent radii.
 
-    For every adjacent pair (sorted by radius), finds a sign change of the
-    mixed-curve difference by grid scan plus bisection.  Returns
-    (p_th, (lo, hi), pairs) with the mean crossing and the spread across
-    pairs.  Raises ValueError when no pair of curves crosses.
+    For every adjacent pair (sorted by radius), finds where the mixed-curve
+    difference P_small - P_large turns from positive to negative (the
+    larger code stops winning) by grid scan plus bisection; a turn from
+    negative to positive, as low-count noise below the crossing can give,
+    is not a threshold.  Returns (p_th, (lo, hi), pairs) with the mean
+    crossing and the spread across pairs.  Raises ValueError when no pair
+    of curves crosses.
     """
     curves = sorted(curves, key=lambda c: c.radius)
     if len(curves) < 2:
@@ -330,22 +335,22 @@ def _crossing(ca, cb, p_lo, p_hi, grid, iters):
     ps = np.linspace(p_lo, p_hi, grid)
     vals = [diff(p) for p in ps]
     for (p1, v1), (p2, v2) in zip(zip(ps, vals), zip(ps[1:], vals[1:])):
-        if v1 != 0.0 and v1 * v2 < 0:
-            lo, hi, flo = p1, p2, v1
+        if v1 > 0.0 > v2:
+            lo, hi = p1, p2
             for _ in range(iters):
                 mid = 0.5 * (lo + hi)
                 fmid = diff(mid)
                 if fmid == 0.0:
                     return mid
-                if flo * fmid < 0:
+                if fmid < 0.0:
                     hi = mid
                 else:
-                    lo, flo = mid, fmid
+                    lo = mid
             return 0.5 * (lo + hi)
     # No strict sign change: curves may meet tangentially (e.g. both
-    # saturate).  Bisect the boundary of the first nonzero -> zero run.
+    # saturate).  Bisect the boundary of the first positive -> zero run.
     for (p1, v1), (p2, v2) in zip(zip(ps, vals), zip(ps[1:], vals[1:])):
-        if v1 != 0.0 and v2 == 0.0:
+        if v1 > 0.0 and v2 == 0.0:
             lo, hi = p1, p2
             for _ in range(iters):
                 mid = 0.5 * (lo + hi)

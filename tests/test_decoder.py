@@ -165,6 +165,32 @@ def test_trellis_state_limit_raises():
         CosetTrellis(gens, 7, state_limit=4)
 
 
+@pytest.mark.parametrize("spec", [("heptagon", "max", 3),  # CSS sectors
+                                  ("pentagon", "zero", 3)])  # joint
+def test_trellis_stores_one_byte_per_state(spec):
+    dec = CodeDecoder(build_code(*spec))
+    for trellis in dec._trellises:
+        bits = states = stored = 0
+        for op in trellis.schedule:
+            if op[0] == "branch":
+                bits += 1
+            elif op[0] == "merge":
+                bits -= 1
+            else:
+                states += 1 << bits
+                stored += op[3].nbytes
+        assert stored == states
+
+
+def test_trellis_weights_do_not_wrap():
+    # One row over every position: the state that takes it costs 40000 at
+    # target 0, which wraps in int16 weights.
+    width = 40000
+    trellis = CosetTrellis([(1 << width) - 1], width)
+    assert trellis.minimize(0) == (0, 0)
+    assert trellis.minimize((1 << width) - 1) == (0, 1)
+
+
 # The minimum-weight element of a coset is often not unique; which one the
 # sweep returns is fixed by its strict ``W1 < W0`` merge rule and the merge
 # order.  These digests pin the (weight, combo) pairs themselves, so a

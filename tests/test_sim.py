@@ -1,5 +1,6 @@
 """Monte Carlo harness: sampling, mixing, thresholds, reproducibility."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -173,6 +174,22 @@ def test_threshold_synthetic_exact_crossing():
     assert pairs[0]["radii"] == (2, 3)
 
 
+class _LowNoiseCurve(FailureCurve):
+    """Crosses R=2 at p = 0.07, but R=3 also sits above R=2 below
+    p = 0.012, as one early failure at a low weight can put it."""
+
+    def mixed(self, p):
+        blip = 0.01 if self.radius == 3 and p < 0.012 else 0.0
+        return 0.5 * (p / 0.07) ** self.radius + blip, 0.0
+
+
+def test_threshold_ignores_negative_to_positive_turn():
+    curves = [_LowNoiseCurve("f", "v", R, 40, 1, 0, 0) for R in (2, 3)]
+    assert curves[0].mixed(0.005)[0] < curves[1].mixed(0.005)[0]
+    p_th, _, _ = estimate_threshold(curves)
+    assert p_th == pytest.approx(0.07, abs=1e-6)
+
+
 def test_threshold_identical_curves_no_crossing():
     n = 20
     recs = [WeightRecord(a, 10, min(10, a)) for a in range(n + 1)]
@@ -222,6 +239,26 @@ def test_adaptive_schedule_concentrates_on_transition():
     sampled = [r.a for r in curve.records]
     assert sampled == sorted(set(sampled))
     assert len(sampled) == code.n + 1  # n <= 50: every weight sampled
+
+
+# sha256 of ``write_curve_csv`` output (weights="all", 50 trials, seed 1).
+# They pin the sampler, the decoder's tie-breaks and the CSV format
+# together, so any change to what a curve reads shows here.
+CURVE_DIGESTS = {
+    ("heptagon", "max", 2):
+        "211ea939fcddc05d4cbb4f588ea1473a6865fc6f2f88bd42d0d91b633a28a15c",
+    ("pentagon", "zero", 2):
+        "815e1fb79ba0c2e47a3a12d6d57bc38ed81e1fc3947328a6195e151659c10b59",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CURVE_DIGESTS))
+def test_curve_digest(spec, tmp_path):
+    curve = simulate_code(build_code(*spec), trials_per_weight=50, seed=1,
+                          weights="all")
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CURVE_DIGESTS[spec]
 
 
 def test_csv_roundtrip(tmp_path):
