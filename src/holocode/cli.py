@@ -478,49 +478,62 @@ def _subcommand_dests(parser, name):
     return None
 
 
+def _inject_config(parser, argv):
+    """Turn ``--config FILE`` in argv into flags, in place.
+
+    Config/manifest values are injected as flags unless already given,
+    so explicit flags win and replaying a manifest reproduces the run.
+    Keys the subcommand does not take (say, options since removed) are
+    dropped with a warning, so older manifests still replay.
+    """
+    idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file name")
+    path = argv[idx + 1]
+    del argv[idx:idx + 2]
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config {path}: {exc}") from exc
+    config = loaded.get("config", loaded) if isinstance(loaded, dict) else None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path}: not a JSON object of argument values")
+    sub = loaded.get("subcommand")
+    if sub and (not argv or argv[0] != sub):
+        argv.insert(0, sub)
+    known = _subcommand_dests(parser, argv[0] if argv else None)
+    dropped = sorted(set(config) - known) if known is not None else []
+    if dropped:
+        print(f"warning: {path}: ignoring keys that {argv[0]} does not "
+              f"take: {', '.join(dropped)}", file=sys.stderr)
+    for key, value in config.items():
+        if value is None or key in dropped:
+            continue
+        if key == "id":
+            if len(argv) < 2 or argv[1].startswith("-"):
+                argv.insert(1, str(value))
+        elif key == "results":
+            vals = value if isinstance(value, list) else [value]
+            argv.extend(str(v) for v in vals)
+        else:
+            flag = "--" + key.replace("_", "-")
+            if flag not in argv:
+                argv.extend([flag, str(value)])
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Config/manifest values are injected as flags unless already given,
-    # so explicit flags win and replaying a manifest reproduces the run.
-    # Keys the subcommand does not take (say, options since removed) are
-    # dropped with a warning, so older manifests still replay.
-    if "--config" in argv:
-        idx = argv.index("--config")
-        path = argv[idx + 1]
-        del argv[idx:idx + 2]
-        with open(path) as fh:
-            loaded = json.load(fh)
-        config = loaded.get("config", loaded)
-        sub = loaded.get("subcommand")
-        if sub and (not argv or argv[0] != sub):
-            argv.insert(0, sub)
-        known = _subcommand_dests(parser, argv[0] if argv else None)
-        dropped = sorted(set(config) - known) if known is not None else []
-        if dropped:
-            print(f"warning: {path}: ignoring keys that {argv[0]} does not "
-                  f"take: {', '.join(dropped)}", file=sys.stderr)
-        for key, value in config.items():
-            if value is None or key in dropped:
-                continue
-            if key == "id":
-                if len(argv) < 2 or argv[1].startswith("-"):
-                    argv.insert(1, str(value))
-            elif key == "results":
-                vals = value if isinstance(value, list) else [value]
-                argv.extend(str(v) for v in vals)
-            else:
-                flag = "--" + key.replace("_", "-")
-                if flag not in argv:
-                    argv.extend([flag, str(value)])
     try:
+        if "--config" in argv:
+            _inject_config(parser, argv)
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
-    if getattr(args, "out_dir", "missing") is None:
-        args.out_dir = f"reproduce_{args.id}"
-    try:
+        if getattr(args, "out_dir", "missing") is None:
+            args.out_dir = f"reproduce_{args.id}"
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or flags it rejects
+        return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     except TrellisLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE_LIMIT

@@ -105,6 +105,32 @@ def _minimal_span(rows):
     raise AssertionError("minimal-span reduction did not converge")
 
 
+# State bits whose part of a parity row is built as one Python int, one
+# byte per state, before numpy doubles the row over the remaining bits.
+_TABLE_BITS = 8
+_ONES = [int.from_bytes(b"\x01" * (1 << b), "little") for b in range(_TABLE_BITS)]
+
+
+def _parity_row(vs) -> np.ndarray:
+    """The ``uint8`` row whose entry s is the XOR of ``vs[b]`` over the set
+    bits b of s.
+
+    The entries below 2^b, XORed with vs[b], are those of 2^b..2^(b+1)-1.
+    The first ``_TABLE_BITS`` doublings run on one Python int, a byte per
+    entry, so a narrow row costs one numpy assignment.
+    """
+    low = min(len(vs), _TABLE_BITS)
+    t = 0
+    for b in range(low):
+        t |= (t ^ vs[b] * _ONES[b]) << (8 << b)
+    code = np.empty(1 << len(vs), dtype=np.uint8)
+    code[:1 << low] = np.frombuffer(t.to_bytes(1 << low, "little"), np.uint8)
+    for b in range(low, len(vs)):
+        h = 1 << b
+        np.bitwise_xor(code[:h], vs[b], out=code[h:2 * h])
+    return code
+
+
 class CosetTrellis:
     """Exact coset minimizer with a precomputed minimal trellis.
 
@@ -123,8 +149,11 @@ class CosetTrellis:
     bit 0 (a pair of strided slices), and a new row's bit is inserted at
     its rank.  A column stores one ``uint8`` per state, the parity of the
     state's rows at each target bit there (bit s for target bit s).  The
-    layout permutes storage only: the merge sequence, and with it every
-    tie-break, is that of any other layout.
+    row is built by doubling over the state bits (``_parity_row``): with
+    v_b the b-th active row's bit (or bit pair) at the column, the states
+    2^b..2^(b+1)-1 read the states below 2^b XORed with v_b, so each
+    state is written once.  The layout permutes storage only: the merge
+    sequence, and with it every tie-break, is that of any other layout.
 
     The sweep adds weights in ``int16``, or ``int32`` from 2^15 positions
     on.  A one-bit column adds the parity, or, where the target bit is 1,
@@ -176,15 +205,8 @@ class CosetTrellis:
                         f"trellis needs 2^{len(active)} states at position "
                         f"{p}, above the limit of {state_limit}")
                 self.schedule.append(("branch", i, b))
-            # code: bit s is the parity of the state's rows at target bit s;
-            # a position costs 1 unless it equals the target's bits there.
-            idx = np.arange(1 << len(active), dtype=np.uint32)
-            code = np.zeros(1 << len(active), dtype=np.uint8)
-            for s in range(stride):
-                mask = sum(((rows[-neg] >> (stride * p + s)) & 1) << b
-                           for b, (_, neg) in enumerate(active))
-                code |= (np.bitwise_count(idx & np.uint32(mask)) & 1) << s
-            self.schedule.append(("emit", stride * p, pattern, code))
+            vs = [(rows[-neg] >> (stride * p)) & pattern for _, neg in active]
+            self.schedule.append(("emit", stride * p, pattern, _parity_row(vs)))
             while active and active[0][0] == p:
                 self.schedule.append(("merge", -active.pop(0)[1]))
         if active:
@@ -304,7 +326,6 @@ class CodeDecoder:
             (H, F, CosetTrellis(g, width, fold_shift=fold), g, lo,
              (1 << width) - 1)
             for (H, F, lo), g, (_, _, width, fold) in zip(checks, gens, sectors)]
-        self._trellises = [sector[2] for sector in self._sectors]
         # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
         # as z || x, parity(v & P) is the symplectic product <v, P>.
         self._partners = [(_pack(lq.z_rep), _pack(lq.x_rep))

@@ -85,10 +85,6 @@ class PauliVector:
         """Pauli weight: number of qubits with a non-identity factor."""
         return (self.x | self.z).bit_count()
 
-    def sector_weight(self) -> int:
-        """popcount(x) + popcount(z); counts Y twice."""
-        return self.x.bit_count() + self.z.bit_count()
-
     def mul(self, other: "PauliVector") -> "PauliVector":
         """Product of two Pauli operators, phase discarded."""
         if self.n != other.n:
@@ -192,12 +188,6 @@ class Gf2Matrix:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def row_bits(self, i: int) -> list[int]:
-        return vec_to_bits(self.rows[i], self.cols)
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row_bits(i) for i in range(self.n_rows)]
 
     def mul_vec(self, v: int) -> int:
         """Matrix-vector product over GF(2); v is a packed column vector."""

@@ -203,7 +203,7 @@ def test_criterion_4_milp_supplement():
             else:
                 e = pure_error(dec.f, dec.syndrome(err))
                 probs = [DecodeProblem(e, dec.sym_gens, 2 * n, fold_shift=n)]
-            for trellis, prob in zip(dec._trellises, probs):
+            for (_, _, trellis, *_), prob in zip(dec._sectors, probs):
                 assert trellis.minimize(prob.target)[0] == milp_min(prob)
                 total += 1
     report(4, f"trellis matches HiGHS on {total} R=2,3 decodes "

@@ -222,6 +222,27 @@ def test_unknown_subcommand_is_bad_input(capsys):
     assert main(["frobnicate"]) == 4
 
 
+def test_config_without_file_is_bad_input(capsys):
+    rc, _, stderr = run(["--config"], capsys)
+    assert rc == 4
+    assert stderr.startswith("error: ")
+
+
+def test_missing_config_file_is_bad_input(tmp_path, capsys):
+    rc, _, stderr = run(["--config", str(tmp_path / "absent.json"), "verify"],
+                        capsys)
+    assert rc == 4
+    assert stderr.startswith("error: ") and "absent.json" in stderr
+
+
+def test_malformed_config_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"subcommand": "verify", "config": {')
+    rc, _, stderr = run(["--config", str(path)], capsys)
+    assert rc == 4
+    assert stderr.startswith("error: ")
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("HOLOCODE_THREADS", "3")
     from holocode.cli import _threads_default

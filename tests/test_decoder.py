@@ -3,8 +3,9 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holocode.builder import build_code, css_split
@@ -169,7 +170,7 @@ def test_trellis_state_limit_raises():
                                   ("pentagon", "zero", 3)])  # joint
 def test_trellis_stores_one_byte_per_state(spec):
     dec = CodeDecoder(build_code(*spec))
-    for trellis in dec._trellises:
+    for _, _, trellis, *_ in dec._sectors:
         bits = states = stored = 0
         for op in trellis.schedule:
             if op[0] == "branch":
@@ -191,6 +192,103 @@ def test_trellis_weights_do_not_wrap():
     assert trellis.minimize((1 << width) - 1) == (0, 1)
 
 
+def check_parity_rows(trellis, gens, fold):
+    """Check every emit row against brute-force parities; return the peak
+    number of state bits.
+
+    The state -> row map is rebuilt from the schedule's branch and merge
+    ops, and the trellis's reduced rows from its combos over ``gens``.
+    """
+    rows = []
+    for cmb in trellis.combos:
+        r = 0
+        for i, g in enumerate(gens):
+            if (cmb >> i) & 1:
+                r ^= g
+        rows.append(r)
+    bits = []  # state bit -> reduced row
+    peak = 0
+    for op in trellis.schedule:
+        if op[0] == "branch":
+            bits.insert(op[2], op[1])
+            peak = max(peak, len(bits))
+        elif op[0] == "merge":
+            assert bits.pop(0) == op[1]
+        else:
+            _, shift, pattern, code = op
+            # Target bit s of the column: a Hamming column's own bit, or a
+            # folded column's x (s = 0) and z (s = 1) bits of one qubit.
+            q = shift // 2
+            positions = [shift] if fold is None else [q, fold + q]
+            assert pattern == (1 << len(positions)) - 1
+            masks = [sum(((rows[i] >> pos) & 1) << b for b, i in enumerate(bits))
+                     for pos in positions]
+            want = [sum(((state & m).bit_count() & 1) << s
+                        for s, m in enumerate(masks))
+                    for state in range(1 << len(bits))]
+            assert code.dtype == np.uint8
+            assert code.tolist() == want
+    assert bits == []
+    return peak
+
+
+@st.composite
+def parity_row_problems(draw):
+    """Row sets with zero and dependent rows, up to about 10 state bits."""
+    fold = draw(st.sampled_from([None, 2, 5, 8, 10]))
+    width = 2 * fold if fold else draw(st.integers(1, 22))
+    gens = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    if draw(st.booleans()):
+        gens.append(0)
+    if len(gens) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=2))
+        gens.append(a ^ b)
+    return gens, width, fold
+
+
+# Peaks of 10 state bits, above the rows' 8-bit Python table: a Hamming
+# sector, and a folded one whose rows reach from x on one qubit to z on
+# another (and back).
+WIDE_HAMMING = ([(1 << i) | (1 << (i + 10)) for i in range(10)], 20, None)
+WIDE_FOLDED = ([(1 << i) | (1 << (10 + i + 5)) for i in range(5)]
+               + [(1 << (10 + i)) | (1 << (i + 5)) for i in range(5)], 20, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parity_row_problems())
+@example(WIDE_HAMMING)
+@example(WIDE_FOLDED)
+def test_trellis_parity_rows_against_brute_force(problem):
+    gens, width, fold = problem
+    trellis = CosetTrellis(gens, width, fold_shift=fold)
+    peak = check_parity_rows(trellis, gens, fold)
+    if problem in (WIDE_HAMMING, WIDE_FOLDED):
+        assert peak == 10
+
+
+# sha256 over every emit op's (shift, pattern, dtype) and row bytes, in
+# schedule order over the decoder's sectors.  Computed with the earlier
+# per-bit popcount build of the rows: any build must leave them alone.
+EMIT_DIGESTS = {
+    ("heptagon", "max", 3):  # both CSS sectors
+        "6c2576f544fc3ad3f78dfb404b13f0b070affe71a7417598957bac937419e04f",
+    ("pentagon", "zero", 3):  # joint, Pauli weight
+        "524fd58f5056ce92637da86b5b5f3d2f9b7b679136f8b2f7af004c58a69b307e",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EMIT_DIGESTS))
+def test_trellis_emit_digest(spec):
+    h = hashlib.sha256()
+    for _, _, trellis, *_ in CodeDecoder(build_code(*spec))._sectors:
+        for op in trellis.schedule:
+            if op[0] == "emit":
+                _, shift, pattern, code = op
+                h.update(f"{shift},{pattern},{code.dtype.str}:".encode())
+                h.update(code.tobytes())
+    assert h.hexdigest() == EMIT_DIGESTS[spec]
+
+
 # The minimum-weight element of a coset is often not unique; which one the
 # sweep returns is fixed by its strict ``W1 < W0`` merge rule and the merge
 # order.  These digests pin the (weight, combo) pairs themselves, so a
@@ -209,7 +307,7 @@ def test_trellis_tie_break_digest(spec):
     rng = random.Random(spec[2])
     h = hashlib.sha256()
     n = code.n
-    for trellis in dec._trellises:
+    for _, _, trellis, *_ in dec._sectors:
         for _ in range(150):
             t = 0
             for q in rng.sample(range(n), rng.randrange(1, n // 3 + 1)):
@@ -274,7 +372,7 @@ def test_decode_corrects_single_z(steane):
 
 def test_decode_checks_trellis_weight(steane, monkeypatch):
     code, dec = steane
-    trellis = dec._trellises[0]  # Z-error sector
+    trellis = dec._sectors[0][2]  # Z-error sector
     real = trellis.minimize
 
     def off_by_one(target):

@@ -101,7 +101,6 @@ def test_restrict_length_mismatch():
 def test_pauli_weights_and_strings():
     p = P("IXYZ")
     assert p.weight() == 3
-    assert p.sector_weight() == 4
     assert p.to_string() == "IXYZ"
     assert P("XX").mul(P("XZ")).to_string() == "IY"
 
