@@ -19,7 +19,6 @@ from .tiling import TileGraph, build_tiling, counts
 from .builder import (
     HolographicCode,
     build_code,
-    contract_pair,
     css_split,
     extract_code,
     network_state,
@@ -53,8 +52,8 @@ __all__ = [
     "blank_tile", "fixed_tile", "is_isometry", "is_block_perfect",
     "is_perfect",
     "TileGraph", "build_tiling", "counts",
-    "HolographicCode", "build_code", "network_state", "contract_pair",
-    "extract_code", "css_split",
+    "HolographicCode", "build_code", "network_state", "extract_code",
+    "css_split",
     "CodeDecoder", "CosetTrellis", "TrellisLimitError", "coset_sectors",
     "pure_error",
     "DistanceResult", "bit_distance", "word_distance",

@@ -10,11 +10,12 @@ two generators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf2 import (
     Gf2Matrix,
     PauliVector,
+    gather_bits,
     kernel_and_right_inverse,
     parse_tableau,
     restrict,
@@ -39,24 +40,6 @@ class NetworkState:
 
     legs: list  # leg names, e.g. (tile, slot); index = bit position
     generators: list  # PauliVectors of width len(legs)
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(list(self.legs), list(self.generators))
-
-
-def contract_pair(state: NetworkState, leg_a, leg_b) -> NetworkState:
-    """Contract two open legs; generator count decreases by exactly two."""
-    out = state.copy()
-    try:
-        a = out.legs.index(leg_a)
-        b = out.legs.index(leg_b)
-    except ValueError:
-        raise ValueError(f"leg not open: {leg_a} / {leg_b}")
-    _project_pair(out.generators, len(out.legs), a, b)
-    keep_cols = [i for i in range(len(out.legs)) if i not in (a, b)]
-    out.legs = [out.legs[i] for i in keep_cols]
-    out.generators = restrict(out.generators, keep_cols)
-    return out
 
 
 def _project_pair(gens: list, width: int, a: int, b: int):
@@ -134,19 +117,16 @@ def network_state(graph: TileGraph, seed_map: dict,
         if len(planar) != t.sides:
             raise ValueError(f"tile {t.id}: seed planar legs != tile sides")
         rot, reflect = orientations.get(t.role, (0, False))
-        # seed position -> global bit
-        pos_map = {}
+        # seed position -> mask of its global bit
+        masks = [0] * seed.total_legs
         for slot in range(t.sides):
             cyc = (rot - slot) % t.sides if reflect else (rot + slot) % t.sides
-            pos_map[planar[cyc]] = index[(t.id, slot)]
+            masks[planar[cyc]] = 1 << index[(t.id, slot)]
         for p in bulk:
-            pos_map[p] = index[(t.id, "L")]
-        for g in seed.generators:
-            x = z = 0
-            for p, bit in pos_map.items():
-                x |= ((g.x >> p) & 1) << bit
-                z |= ((g.z >> p) & 1) << bit
-            gens.append(PauliVector(width, x, z))
+            masks[p] = 1 << index[(t.id, "L")]
+        gens.extend(PauliVector(width, gather_bits(g.x, masks),
+                                gather_bits(g.z, masks))
+                    for g in seed.generators)
 
     # Contract every edge at full width, then drop dead columns once.
     for (ea, eb) in graph.edges:
@@ -316,7 +296,11 @@ def extract_code(state: NetworkState, graph: TileGraph,
 
     Stabilizers are the generator combinations acting as identity on every
     bulk leg, restricted to the boundary; logical representatives act as a
-    single X (or Z) on one bulk leg.
+    single X (or Z) on one bulk leg.  Every code, CSS or not, comes from one
+    elimination of the generators' x || z action on the bulk (2k bits).
+    Stabilizers are listed X-type first, each type in elimination order;
+    for a CSS code that is the order of two sector eliminations, since the
+    reduced form of a block-diagonal matrix is unique.
     """
     order = list(graph.boundary_legs) + list(graph.bulk_legs)
     index = {leg: i for i, leg in enumerate(state.legs)}
@@ -327,45 +311,19 @@ def extract_code(state: NetworkState, graph: TileGraph,
     if len(gens) != n + k:
         raise NotIsometryError("open leg count mismatch")
     nmask = (1 << n) - 1
+    vecs = [g.x | (g.z << (n + k)) for g in gens]
+    # bulk action of a generator: (x on bulk | z on bulk), 2k bits
+    bulk_vecs = [(g.x >> n) | ((g.z >> n) << k) for g in gens]
 
-    if all(g.x == 0 or g.z == 0 for g in gens):
-        stab_parts = []
-        reps = {}
-        for part, vecs in (("x", [g.x for g in gens if g.z == 0]),
-                           ("z", [g.z for g in gens if g.z != 0])):
-            null, units = _bulk_combinations([v >> n for v in vecs], k)
-            for c in null:
-                stab_parts.append((part, _combine(vecs, c) & nmask))
-            for ell in range(k):
-                reps[(part, ell)] = _combine(vecs, units[ell]) & nmask
-        stabilizers = [
-            PauliVector(n, v, 0) if part == "x" else PauliVector(n, 0, v)
-            for part, v in stab_parts
-            if v
-        ]
-        logicals = [
-            (PauliVector(n, reps[("x", ell)], 0), PauliVector(n, 0, reps[("z", ell)]))
-            for ell in range(k)
-        ]
-    else:
-        vecs = [g.x | (g.z << (n + k)) for g in gens]
-        # bulk action of a generator: (x on bulk | z on bulk), 2k bits
-        kmask = (1 << k) - 1
-        bulk_vecs = [((v >> n) & kmask) | (((v >> (2 * n + k)) & kmask) << k)
-                     for v in vecs]
+    def combine(c):
+        v = _combine(vecs, c)
+        return PauliVector(n, v & nmask, (v >> (n + k)) & nmask)
 
-        def combine(c):
-            v = _combine(vecs, c)
-            return PauliVector(n, v & nmask, (v >> (n + k)) & nmask)
-
-        null, units = _bulk_combinations(bulk_vecs, 2 * k)
-        stabilizers = []
-        for c in null:
-            p = combine(c)
-            if p.x or p.z:
-                stabilizers.append(p)
-        logicals = [(combine(units[ell]), combine(units[k + ell]))
-                    for ell in range(k)]
+    null, units = _bulk_combinations(bulk_vecs, 2 * k)
+    stabilizers = [p for p in map(combine, null) if p.x or p.z]
+    stabilizers.sort(key=lambda s: s.x == 0)  # stable: X-type first
+    logicals = [(combine(units[ell]), combine(units[k + ell]))
+                for ell in range(k)]
 
     if len(stabilizers) != n - k:
         raise NotIsometryError(

@@ -171,10 +171,9 @@ def cmd_decode(args):
         syn = (y & ((1 << nx) - 1), y >> nx)
     else:
         syn = y
-    corr, certified = dec.decode(syn)
+    corr, _ = dec.decode(syn)
     print(f"correction: {corr.to_string()}")
     print(f"weight: {corr.weight()}")
-    print(f"certified: {certified}")
     return EXIT_OK
 
 
@@ -184,11 +183,10 @@ def cmd_decode(args):
 def _distance_fields(code, qubit, sector="min"):
     """A table row's bit distance fields, and its word distance fields when
     k > 1 (with one logical qubit the two coincide)."""
-    db = bit_distance(code, qubit, sector=sector)
-    fields = {"bit_distance": db.value, "bit_certified": db.certified}
+    fields = {"bit_distance": bit_distance(code, qubit, sector=sector).value}
     if code.k > 1:
-        dw = word_distance(code, qubit, sector=sector)
-        fields.update(word_distance=dw.value, word_certified=dw.certified)
+        fields["word_distance"] = word_distance(code, qubit,
+                                                sector=sector).value
     return fields
 
 
@@ -331,20 +329,14 @@ def _reproduce_fig5(args):
     for R in range(1, args.max_radius + 1):
         code = build_code("heptagon", "max", R)
         d = _distance_fields(code, 0)
-        points_b.append((code.n, d["bit_distance"], d["bit_certified"]))
-        points_w.append((code.n, d.get("word_distance", d["bit_distance"]),
-                         d.get("word_certified", d["bit_certified"])))
+        points_b.append((code.n, d["bit_distance"]))
+        points_w.append((code.n, d.get("word_distance", d["bit_distance"])))
     out = {"bit_points": points_b, "word_points": points_w}
-    cert_b = [(n, d) for n, d, c in points_b if c]
-    cert_w = [(n, d) for n, d, c in points_w if c]
-    if len(cert_b) >= 3:
-        exp, ci = fit_distance_scaling(cert_b)
-        out["bit_exponent"] = exp
-        out["bit_ci95"] = list(ci)
-    if len(cert_w) >= 3:
-        exp, ci = fit_distance_scaling(cert_w)
-        out["word_exponent"] = exp
-        out["word_ci95"] = list(ci)
+    for name, points in (("bit", points_b), ("word", points_w)):
+        if len(points) >= 3:
+            exp, ci = fit_distance_scaling(points)
+            out[f"{name}_exponent"] = exp
+            out[f"{name}_ci95"] = list(ci)
     text = json.dumps(out, indent=1, sort_keys=True)
     print(text)
     with open(os.path.join(args.out_dir, "fig5.json"), "w") as fh:

@@ -57,52 +57,43 @@ def _minimal_span(rows):
 
     Returns (rows, combos), where combos[i] is the mask of original rows
     XORed into reduced row i; dependent input rows are dropped.
+
+    One start pass, then one end pass.  The start pass leaves the starts
+    distinct; the end pass then only lowers ends, and it keeps the set of
+    starts, because the XOR of two rows with different starts takes the
+    lower start and is never zero.  So both forms hold after one round.
+
+    This stays outside ``gf2.eliminate``: full elimination clears each
+    pivot column from every other row, which gives a different minimal-span
+    basis.  Trellis states are coefficients over this basis, so the sweep's
+    tie-breaks (the ``W1 < W0`` choice at each merge) would move.
     """
-    work = [(r, 1 << i) for i, r in enumerate(rows)]
-    for _ in range(16 * len(rows) + 16):
-        changed = False
-        by_start = {}
-        keep = []
-        for r, cmb in work:
-            while r:
-                s = r & -r
-                j = by_start.get(s)
-                if j is None:
-                    by_start[s] = len(keep)
-                    keep.append((r, cmb))
-                    break
-                r2, c2 = keep[j]
-                r ^= r2
-                cmb ^= c2
-                changed = True
-            else:
-                changed = True
-        work = keep
-        by_end = {}
-        for i in range(len(work)):
-            r, cmb = work[i]
-            while True:
-                e = r.bit_length()
-                j = by_end.get(e)
-                if j is None:
-                    by_end[e] = i
-                    break
-                rj, cj = work[j]
-                # Keep the later-starting row as the owner of this end so
-                # the replacement inherits the earlier start.
-                if (rj & -rj) < (r & -r):
-                    work[j] = (r, cmb)
-                    r, cmb = rj ^ r, cj ^ cmb
-                else:
-                    r ^= rj
-                    cmb ^= cj
-                changed = True
-                if r == 0:
-                    raise AssertionError("unexpected cancellation in span form")
-            work[i] = (r, cmb)
-        if not changed:
-            return [r for r, _ in work], [c for _, c in work]
-    raise AssertionError("minimal-span reduction did not converge")
+    by_start = {}
+    work = []
+    for i, r in enumerate(rows):
+        cmb = 1 << i
+        while r:
+            j = by_start.get(r & -r)
+            if j is None:
+                by_start[r & -r] = len(work)
+                work.append((r, cmb))
+                break
+            r2, c2 = work[j]
+            r ^= r2
+            cmb ^= c2
+    by_end = {}
+    for i in range(len(work)):
+        r, cmb = work[i]
+        while (j := by_end.get(r.bit_length())) is not None:
+            rj, cj = work[j]
+            # Keep the later-starting row as the owner of this end so
+            # the replacement inherits the earlier start.
+            if (rj & -rj) < (r & -r):
+                work[j] = (r, cmb)
+            r, cmb = rj ^ r, cj ^ cmb
+        by_end[r.bit_length()] = i
+        work[i] = (r, cmb)
+    return [r for r, _ in work], [c for _, c in work]
 
 
 # State bits whose part of a parity row is built as one Python int, one

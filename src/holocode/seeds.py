@@ -232,9 +232,8 @@ def is_isometry(seed: SeedCode, A) -> bool:
     if len(A) * 2 > m:
         raise ValueError("input subset larger than half the legs")
     outside = [i for i in range(m) if i not in A]
-    rows = [r.x | (r.z << len(outside))
-            for r in restrict(seed.generators, outside)]
-    return rank(Gf2Matrix(rows, 2 * len(outside))) == len(seed.generators)
+    return (symplectic_rank(restrict(seed.generators, outside))
+            == len(seed.generators))
 
 
 def is_block_perfect(seed: SeedCode) -> bool:

@@ -61,12 +61,6 @@ class FailureCurve:
     seed: int
     records: list = field(default_factory=list)
 
-    def record_for(self, a):
-        for r in self.records:
-            if r.a == a:
-                return r
-        return None
-
     def filled_probabilities(self):
         """P_failure for every a in 0..n.
 

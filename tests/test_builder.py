@@ -1,6 +1,7 @@
 """Network contraction and boundary-code extraction."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -10,14 +11,22 @@ from holocode.builder import (
     NetworkState,
     NotCssError,
     NotIsometryError,
+    _project_pair,
     build_code,
-    contract_pair,
     css_split,
     extract_code,
     network_state,
     seed_for_tile,
 )
-from holocode.gf2 import Gf2Matrix, PauliVector, rank, row_combination, rref
+from holocode.gf2 import (
+    Gf2Matrix,
+    PauliVector,
+    rank,
+    restrict,
+    row_combination,
+    rref,
+    symplectic_product,
+)
 from holocode.seeds import CATALOG, scf_tensor, steane_tensor
 from holocode.tiling import build_tiling
 
@@ -43,63 +52,46 @@ def in_group(rows, n, p):
     return row_combination(rows, 2 * n, p.x | (p.z << n)) is not None
 
 
-# -- contract_pair ----------------------------------------------------------
+# -- _project_pair ---------------------------------------------------------
+
+
+def contract(gens, a, b):
+    """Contract legs a and b as ``network_state`` does: project, then drop
+    the two dead columns."""
+    gens = list(gens)
+    width = gens[0].n
+    _project_pair(gens, width, a, b)
+    return restrict(gens, [i for i in range(width) if i not in (a, b)])
 
 
 def test_contract_two_x_states_gives_empty_state():
-    state = NetworkState(["a", "b"], [P("XI"), P("IX")])
-    out = contract_pair(state, "a", "b")
-    assert out.legs == [] and out.generators == []
+    assert contract([P("XI"), P("IX")], 0, 1) == []
 
 
 def test_contract_bell_with_bell_swaps_entanglement():
-    # legs: a,b form one Bell pair, c,d another; contract b-c
-    state = NetworkState(
-        ["a", "b", "c", "d"],
-        [P("XXII"), P("ZZII"), P("IIXX"), P("IIZZ")],
-    )
-    out = contract_pair(state, "b", "c")
-    assert out.legs == ["a", "d"]
-    assert same_group(out.generators, [P("XX"), P("ZZ")])
-
-
-def test_contract_is_pure_function():
-    state = NetworkState(["a", "b"], [P("XI"), P("IX")])
-    contract_pair(state, "a", "b")
-    assert len(state.generators) == 2  # input untouched
-
-
-def test_contract_unknown_leg_raises():
-    state = NetworkState(["a", "b"], [P("XI"), P("IX")])
-    with pytest.raises(ValueError):
-        contract_pair(state, "a", "z")
+    # legs 0,1 form one Bell pair, 2,3 another; contract 1-2
+    out = contract([P("XXII"), P("ZZII"), P("IIXX"), P("IIZZ")], 1, 2)
+    assert out[0].n == 2  # legs 0 and 3 remain
+    assert same_group(out, [P("XX"), P("ZZ")])
 
 
 def test_two_steane_tiles_one_edge():
     seed = steane_tensor()
-    graph = build_tiling("heptagon", 1, "max")
-    # two disjoint single tiles joined on one leg, built by hand
-    state = NetworkState([], [])
-    legs = [("t0", j) for j in range(7)] + [("t0", "L")]
-    legs += [("t1", j) for j in range(7)] + [("t1", "L")]
+    # two disjoint single tiles joined on one leg, built by hand: tile t
+    # holds bits 8t..8t+6 (planar legs) and 8t+7 (bulk leg)
+    planar = [l for l in seed.leg_order if l != "L"]
     gens = []
-    for tile in ("t0", "t1"):
-        base = 0 if tile == "t0" else 8
+    for base in (0, 8):
         for g in seed.generators:
             x = z = 0
             for pos, leg in enumerate(seed.leg_order):
-                bit = base + (7 if leg == "L" else
-                              [l for l in seed.leg_order if l != "L"].index(leg))
+                bit = base + (7 if leg == "L" else planar.index(leg))
                 x |= ((g.x >> pos) & 1) << bit
                 z |= ((g.z >> pos) & 1) << bit
             gens.append(PauliVector(16, x, z))
-    state = NetworkState(legs, gens)
-    out = contract_pair(state, ("t0", 0), ("t1", 0))
-    assert len(out.generators) == 14
-    assert len(out.legs) == 14
-    for a, b in itertools.combinations(out.generators, 2):
-        from holocode.gf2 import symplectic_product
-
+    out = contract(gens, 0, 8)
+    assert len(out) == 14 and out[0].n == 14
+    for a, b in itertools.combinations(out, 2):
         assert symplectic_product(a, b) == 0
 
 
@@ -315,3 +307,34 @@ def test_every_seed_matches_every_family_radius_two():
         fam = "heptagon" if seed_name == "steane" else "pentagon"
         code = build_code(fam, "max", 2, seed_name)
         code.validate()
+
+
+# Every family x seed x radius <= 3 combination that builds, and the
+# three table3 codes at radius 4.
+DIGEST_CODES = [
+    (fam, var, seed, radius)
+    for fam, var, seeds in (("heptagon", "max", ("steane",)),
+                            ("heptagon", "zero", ("steane",)),
+                            ("pentagon", "max", ("scf", "five_qubit")),
+                            ("pentagon", "reduced", ("scf", "five_qubit")),
+                            ("pentagon", "zero", ("scf", "five_qubit")))
+    for seed in seeds
+    for radius in (1, 2, 3)
+] + [("heptagon", "max", None, 4), ("pentagon", "reduced", None, 4),
+     ("pentagon", "zero", None, 4)]
+
+# sha256 over the ``save`` bytes (``.tab`` then ``.json``) of every code
+# above, in order.  It pins the stabilizer and logical bases, their order
+# and the file format together.
+CODES_DIGEST = "8e9ac92dd7fd8ad27b18e6070caad440abe3bebff9960ed5d7932b05bff90398"
+
+
+def test_saved_codes_digest(tmp_path):
+    prefix = str(tmp_path / "code")
+    digest = hashlib.sha256()
+    for fam, var, seed, radius in DIGEST_CODES:
+        build_code(fam, var, radius, seed).save(prefix)
+        for ext in (".tab", ".json"):
+            with open(prefix + ext, "rb") as fh:
+                digest.update(fh.read())
+    assert digest.hexdigest() == CODES_DIGEST

@@ -13,9 +13,10 @@ from holocode.decoder import (
     CodeDecoder,
     CosetTrellis,
     TrellisLimitError,
+    _minimal_span,
     pure_error,
 )
-from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
+from holocode.gf2 import Gf2Matrix, PauliVector, rank, right_inverse
 from oracles import DecodeProblem, branch_and_bound_min, exhaustive_min, milp_min
 
 
@@ -264,6 +265,22 @@ def test_trellis_parity_rows_against_brute_force(problem):
     peak = check_parity_rows(trellis, gens, fold)
     if problem in (WIDE_HAMMING, WIDE_FOLDED):
         assert peak == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_row_problems())
+def test_minimal_span_form(problem):
+    gens, width, _ = problem
+    rows, combos = _minimal_span(gens)
+    assert len(rows) == rank(Gf2Matrix(gens, width))
+    assert len({r & -r for r in rows}) == len(rows)  # distinct starts
+    assert len({r.bit_length() for r in rows}) == len(rows)  # distinct ends
+    for r, c in zip(rows, combos):
+        v = 0
+        for i, g in enumerate(gens):
+            if c >> i & 1:
+                v ^= g
+        assert r == v
 
 
 # sha256 over every emit op's (shift, pattern, dtype) and row bytes, in
