@@ -3,8 +3,7 @@
 The bit distance of a bulk qubit is the minimum weight of a boundary
 operator acting on it alone; the word distance allows side effects on
 other bulk qubits and is never larger.  Both come from the same exact
-coset minimizer used for decoding, so every number below carries an
-optimality certificate.
+coset minimizer used for decoding, so every number below is exact.
 """
 
 from holocode import bit_distance, build_code, fit_distance_scaling, word_distance

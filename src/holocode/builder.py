@@ -228,17 +228,18 @@ class HolographicCode:
             meta = json.load(fh)
         with open(prefix + ".tab") as fh:
             gens = parse_tableau(fh.read())
-        n_stab = meta["n"] - meta["k"]
-        stabs = gens[:n_stab]
-        logicals = []
-        reps = gens[n_stab:]
-        for i in range(meta["k"]):
-            logicals.append(
-                LogicalQubit(i, meta["logical_layers"][i], reps[2 * i], reps[2 * i + 1])
-            )
+        n, k = meta["n"], meta["k"]
+        if len(gens) != n + k or any(g.n != n for g in gens):
+            raise ValueError(f"{prefix}.tab: expected n - k + 2k = {n + k} "
+                             f"rows of {n} Paulis")
+        if len(meta["logical_layers"]) != k:
+            raise ValueError(f"{prefix}.json: expected k = {k} logical layers")
+        stabs, reps = gens[:n - k], gens[n - k:]
+        logicals = [LogicalQubit(i, meta["logical_layers"][i], reps[2 * i],
+                                 reps[2 * i + 1]) for i in range(k)]
         code = cls(
             meta["family"], meta["variant"], meta["radius"], meta["seed"],
-            meta["n"], stabs, logicals, meta["css"],
+            n, stabs, logicals, meta["css"],
         )
         code.validate()
         return code
@@ -259,16 +260,6 @@ def _bulk_combinations(bulk_vecs: list, width: int):
     except ValueError:
         raise NotIsometryError("missing logical representative") from None
     return null, F.transpose().rows
-
-
-def _combine(vecs: list, c: int) -> int:
-    """XOR of vecs[i] over the set bits of c."""
-    v = 0
-    while c:
-        i = c.bit_length() - 1
-        c ^= 1 << i
-        v ^= vecs[i]
-    return v
 
 
 def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):
@@ -316,7 +307,7 @@ def extract_code(state: NetworkState, graph: TileGraph,
     bulk_vecs = [(g.x >> n) | ((g.z >> n) << k) for g in gens]
 
     def combine(c):
-        v = _combine(vecs, c)
+        v = gather_bits(c, vecs)
         return PauliVector(n, v & nmask, (v >> (n + k)) & nmask)
 
     null, units = _bulk_combinations(bulk_vecs, 2 * k)

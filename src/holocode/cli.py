@@ -45,7 +45,10 @@ EXIT_BAD_INPUT = 4
 def _threads_default():
     env = os.environ.get("HOLOCODE_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"HOLOCODE_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -200,10 +203,10 @@ def cmd_distance(args):
         qubits = [int(args.qubit)]
     rows = []
     for q in qubits:
+        fields = _distance_fields(code, q, args.sector)  # checks q's range
         row = {"family": code.family, "variant": code.variant,
                "R": code.radius, "n": code.n, "qubit": q,
-               "layer": code.logicals[q].layer,
-               **_distance_fields(code, q, args.sector)}
+               "layer": code.logicals[q].layer, **fields}
         rows.append(row)
         print(json.dumps(row, sort_keys=True))
     if args.out:
@@ -515,9 +518,9 @@ def _inject_config(parser, argv):
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        parser = make_parser()
         if "--config" in argv:
             _inject_config(parser, argv)
         args = parser.parse_args(argv)

@@ -11,20 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def vec_from_bits(bits) -> int:
-    """Pack an iterable of 0/1 into an integer (index 0 = lowest bit)."""
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
-    return v
-
-
-def vec_to_bits(v: int, length: int) -> list[int]:
-    """Unpack an integer into a list of 0/1 of the given length."""
-    return [(v >> i) & 1 for i in range(length)]
-
-
 def parity(v: int) -> int:
     return v.bit_count() & 1
 
@@ -90,9 +76,6 @@ class PauliVector:
         if self.n != other.n:
             raise ValueError("length mismatch")
         return PauliVector(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def __eq__(self, other):
         return (
@@ -167,24 +150,6 @@ class Gf2Matrix:
     rows: list = field(default_factory=list)
     cols: int = 0
 
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "Gf2Matrix":
-        """Build from an iterable of rows (ints, strings of 0/1, or bit lists)."""
-        packed = []
-        width = cols or 0
-        for r in rows:
-            if isinstance(r, int):
-                packed.append(r)
-                width = max(width, r.bit_length())
-            elif isinstance(r, str):
-                packed.append(vec_from_bits(int(c) for c in r))
-                width = max(width, len(r))
-            else:
-                r = list(r)
-                packed.append(vec_from_bits(r))
-                width = max(width, len(r))
-        return cls(packed, cols if cols is not None else width)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -205,16 +170,6 @@ class Gf2Matrix:
                 rows[low.bit_length() - 1] |= bit
                 r ^= low
         return Gf2Matrix(rows, self.n_rows)
-
-    def copy(self) -> "Gf2Matrix":
-        return Gf2Matrix(list(self.rows), self.cols)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Gf2Matrix)
-            and self.cols == other.cols
-            and self.rows == other.rows
-        )
 
 
 def eliminate(rows, cols: int, aug=None):
@@ -258,34 +213,8 @@ def eliminate(rows, cols: int, aug=None):
     return rows, aug, pivots
 
 
-def rref(M: Gf2Matrix):
-    """Reduced row echelon form over GF(2).
-
-    Returns ``(R, rank, pivots)`` where pivots lists the pivot column of each
-    of the first ``rank`` rows of R.
-    """
-    rows, _, pivots = eliminate(M.rows, M.cols)
-    return Gf2Matrix(rows, M.cols), len(pivots), pivots
-
-
 def rank(M: Gf2Matrix) -> int:
     return len(eliminate(M.rows, M.cols)[2])
-
-
-def solve(M: Gf2Matrix, y: int):
-    """Return some x with M.x = y over GF(2), or None if inconsistent.
-
-    Every free (non-pivot) variable of x is 0.
-    """
-    # Eliminate on rows augmented with the matching bit of y.
-    _, aug, pivots = eliminate(M.rows, M.cols,
-                               [(y >> i) & 1 for i in range(M.n_rows)])
-    if any(aug[len(pivots):]):
-        return None
-    x = 0
-    for b, col in zip(aug, pivots):
-        x |= b << col
-    return x
 
 
 def _null_basis(rows: list, pivots: list, cols: int) -> list[int]:
@@ -410,12 +339,3 @@ def parse_tableau(text: str) -> list[PauliVector]:
         raise ValueError("tableau lines have differing lengths")
     return gens
 
-
-def format_tableau(gens, comment: str | None = None) -> str:
-    """Render generators as tableau text, optionally with a leading comment."""
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.extend(g.to_string() for g in gens)
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from itertools import combinations
 from .gf2 import (
     Gf2Matrix,
     PauliVector,
-    parse_tableau,
     rank,
     restrict,
     swap_in,
@@ -68,31 +67,6 @@ class SeedCode:
             raise ValueError(f"{self.name}: generators do not all commute")
         if symplectic_rank(self.generators) != m:
             raise ValueError(f"{self.name}: generators are GF(2)-dependent")
-
-    def to_text(self) -> str:
-        """Serialize with a `name n k leg_order bulk_flags` header line."""
-        legs = ",".join(str(l) for l in self.leg_order)
-        flags = "".join("1" if b else "0" for b in self.bulk)
-        lines = [f"# {self.name} {self.n} {self.k} {legs} {flags}"]
-        lines += [g.to_string() for g in self.generators]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SeedCode":
-        header = None
-        for line in text.splitlines():
-            if line.startswith("#"):
-                header = line[1:].split()
-                break
-        if header is None or len(header) != 5:
-            raise ValueError("missing seed header line")
-        name, _n, _k, legs, flags = header
-        leg_order = tuple(legs.split(","))
-        bulk = tuple(c == "1" for c in flags)
-        gens = tuple(parse_tableau(text))
-        seed = cls(name, leg_order, bulk, gens)
-        seed.validate()
-        return seed
 
 
 def symplectic_rank(gens) -> int:

@@ -108,7 +108,7 @@ def _isotonic(y):
     return np.array(out)
 
 
-def binomial_mix(records, p: float, n: int | None = None):
+def binomial_mix(records, p: float, n: int):
     """Mix fixed-weight failure rates into p_failure(p, n).
 
     Exact weighted sum of P_failure(a, n) with Binomial(n, p) weights;
@@ -118,10 +118,7 @@ def binomial_mix(records, p: float, n: int | None = None):
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p outside [0, 1]")
-    recs = sorted(records, key=lambda r: r.a)
-    if n is None:
-        n = max(r.a for r in recs)
-    curve = FailureCurve("", "", 0, n, 0, 0, 0, records=list(recs))
+    curve = FailureCurve("", "", 0, n, 0, 0, 0, records=list(records))
     probs, sigmas = curve.filled_probabilities()
     a = np.arange(n + 1)
     w = binom.pmf(a, n, p)
@@ -194,12 +191,18 @@ def _worker_chunk(args, decoder=None):
                          range(lo, hi), seed)
 
 
+def _check_run(code: HolographicCode, target_qubit: int, m: int):
+    if not 0 <= target_qubit < code.k:
+        raise ValueError(f"target qubit {target_qubit} outside 0..{code.k - 1}")
+    if m < 1:
+        raise ValueError("need at least one trial per weight")
+
+
 def run_trials(code: HolographicCode, target_qubit: int, a: int, m: int,
                seed: int, decoder: CodeDecoder | None = None) -> WeightRecord:
     """m decode trials at fixed error weight a; failures counted on the
     target qubit."""
-    if m < 1:
-        raise ValueError("need at least one trial")
+    _check_run(code, target_qubit, m)
     dec = decoder or CodeDecoder(code)
     f = _run_chunk(dec, _code_key(code, target_qubit), target_qubit, a,
                    range(m), seed)
@@ -215,6 +218,7 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     adaptive grid refined where the curve is steep), or an explicit list.
     Deterministic for fixed seed independent of ``threads``.
     """
+    _check_run(code, target_qubit, trials_per_weight)
     n = code.n
     curve = FailureCurve(code.family, code.variant, code.radius, n, code.k,
                          target_qubit, seed)
@@ -264,40 +268,47 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     return curve
 
 
-def _coarse_grid(n: int, points: int = 20) -> list:
-    grid = {0, 1, 2, n}
-    for i in range(1, points):
-        grid.add(int(round(n ** (i / points))))
-    return sorted(grid)
+# The "auto" schedule samples at most this many weights.
+_MAX_WEIGHTS = 64
 
 
-def _refine(curve: FailureCurve, band=(0.02, 0.98), max_weights: int = 64):
-    """Midpoints of steep intervals of the measured curve, if any."""
+def _coarse_grid(n: int) -> list:
+    return sorted({0, 1, 2, n} | {round(n ** (i / 20)) for i in range(1, 20)})
+
+
+def _refine(curve: FailureCurve):
+    """Midpoints of steep intervals of the measured curve, if any; an
+    interval with both rates below 0.02 or both above 0.98 is flat."""
     recs = sorted(curve.records, key=lambda r: r.a)
-    if len(recs) >= max_weights:
+    if len(recs) >= _MAX_WEIGHTS:
         return []
     new = []
     for r1, r2 in zip(recs, recs[1:]):
         if r2.a - r1.a <= 1:
             continue
         lo, hi = sorted((r1.p, r2.p))
-        if hi < band[0] or lo > band[1]:
+        if hi < 0.02 or lo > 0.98:
             continue
-        if hi - lo > 0.08 or (r2.a - r1.a > 8 and band[0] <= hi <= band[1]):
+        if hi - lo > 0.08 or (r2.a - r1.a > 8 and hi <= 0.98):
             new.append((r1.a + r2.a) // 2)
-    return sorted(set(new))[: max_weights - len(recs)]
+    return sorted(set(new))[: _MAX_WEIGHTS - len(recs)]
 
 
 # -- thresholds ------------------------------------------------------------
 
 
-def estimate_threshold(curves, p_lo: float = 0.005, p_hi: float = 0.5,
-                       grid: int = 200, iters: int = 60):
+# The crossing search: a scan of rates, then bisection of one bracket.
+_SCAN = np.linspace(0.005, 0.5, 200)
+_BISECT_STEPS = 60
+
+
+def estimate_threshold(curves):
     """Crossing point of failure curves at adjacent radii.
 
     For every adjacent pair (sorted by radius), finds where the mixed-curve
     difference P_small - P_large turns from positive to negative (the
-    larger code stops winning) by grid scan plus bisection; a turn from
+    larger code stops winning): a scan of 200 evenly spaced rates from
+    0.005 to 0.5, then 60 bisection steps in the first bracket; a turn from
     negative to positive, as low-count noise below the crossing can give,
     is not a threshold.  Returns (p_th, (lo, hi), pairs) with the mean
     crossing and the spread across pairs.  Raises ValueError when no pair
@@ -309,7 +320,7 @@ def estimate_threshold(curves, p_lo: float = 0.005, p_hi: float = 0.5,
     crossings = []
     pairs = []
     for ca, cb in zip(curves, curves[1:]):
-        root = _crossing(ca, cb, p_lo, p_hi, grid, iters)
+        root = _crossing(ca, cb)
         pairs.append({"radii": (ca.radius, cb.radius), "crossing": root})
         if root is not None:
             crossings.append(root)
@@ -322,16 +333,15 @@ def estimate_threshold(curves, p_lo: float = 0.005, p_hi: float = 0.5,
     )
 
 
-def _crossing(ca, cb, p_lo, p_hi, grid, iters):
+def _crossing(ca, cb):
     def diff(p):
         return ca.mixed(p)[0] - cb.mixed(p)[0]
 
-    ps = np.linspace(p_lo, p_hi, grid)
-    vals = [diff(p) for p in ps]
-    for (p1, v1), (p2, v2) in zip(zip(ps, vals), zip(ps[1:], vals[1:])):
+    steps = [(p, diff(p)) for p in _SCAN]
+    for (p1, v1), (p2, v2) in zip(steps, steps[1:]):
         if v1 > 0.0 > v2:
             lo, hi = p1, p2
-            for _ in range(iters):
+            for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 fmid = diff(mid)
                 if fmid == 0.0:
@@ -343,10 +353,10 @@ def _crossing(ca, cb, p_lo, p_hi, grid, iters):
             return 0.5 * (lo + hi)
     # No strict sign change: curves may meet tangentially (e.g. both
     # saturate).  Bisect the boundary of the first positive -> zero run.
-    for (p1, v1), (p2, v2) in zip(zip(ps, vals), zip(ps[1:], vals[1:])):
+    for (p1, v1), (p2, v2) in zip(steps, steps[1:]):
         if v1 > 0.0 and v2 == 0.0:
             lo, hi = p1, p2
-            for _ in range(iters):
+            for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 if diff(mid) == 0.0:
                     hi = mid
@@ -382,8 +392,12 @@ def read_curve_csv(path: str) -> FailureCurve:
                          int(first["n"]), int(first["k"]),
                          int(first["target"]), 0)
     for row in rows:
-        curve.records.append(WeightRecord(int(row["a"]), int(row["m"]),
-                                          int(row["f"]), int(row["timeouts"])))
+        r = WeightRecord(int(row["a"]), int(row["m"]), int(row["f"]),
+                         int(row["timeouts"]))
+        if not (0 <= r.a <= curve.n and r.m >= 1 and 0 <= r.f <= r.m):
+            raise ValueError(f"{path}: row a={r.a} m={r.m} f={r.f} is not "
+                             f"0 <= a <= n={curve.n}, m >= 1, 0 <= f <= m")
+        curve.records.append(r)
     curve.records.sort(key=lambda r: r.a)
     return curve
 

@@ -9,7 +9,6 @@ boundary-qubit counts in ``REFERENCE_BOUNDARY_COUNTS``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -52,30 +51,6 @@ class TileGraph:
         for (a, b) in self.edges:
             if abs(layer[a[0]] - layer[b[0]]) > 1:
                 raise ValueError("edge connects non-adjacent layers")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "variant": self.variant,
-                "radius": self.radius,
-                "tiles": [[t.id, t.kind, t.layer, t.sides, t.role] for t in self.tiles],
-                "edges": [[list(a), list(b)] for a, b in self.edges],
-                "boundary_legs": [list(l) for l in self.boundary_legs],
-                "bulk_legs": [list(l) for l in self.bulk_legs],
-            },
-            indent=1,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TileGraph":
-        d = json.loads(text)
-        g = cls(d["family"], d["variant"], d["radius"])
-        g.tiles = [Tile(*t) for t in d["tiles"]]
-        g.edges = [(tuple(a), tuple(b)) for a, b in d["edges"]]
-        g.boundary_legs = [tuple(l) for l in d["boundary_legs"]]
-        g.bulk_legs = [tuple(l) for l in d["bulk_legs"]]
-        return g
 
 
 # Known boundary-qubit counts, radii 1..6, used as the build contract.

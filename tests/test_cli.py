@@ -247,3 +247,73 @@ def test_threads_env_fallback(monkeypatch):
     from holocode.cli import _threads_default
 
     assert _threads_default() == 3
+
+
+# -- bad arguments and malformed files exit 4 with a message -----------------
+
+
+def test_distance_qubit_out_of_range_is_bad_input(capsys):
+    rc, stdout, stderr = run(["distance", "--family", "heptagon", "--variant",
+                              "max", "--radius", "1", "--qubit", "3"], capsys)
+    assert rc == 4
+    assert stdout == "" and "out of range" in stderr
+
+
+@pytest.mark.parametrize("radius, flags", [
+    ("1", ["--target", "2"]),  # k = 1
+    ("2", ["--target", "-1"]),
+    ("1", ["--trials-per-weight", "0"]),
+], ids=["target-past-k", "target-negative", "no-trials"])
+def test_simulate_bad_arguments_are_bad_input(tmp_path, capsys, radius, flags):
+    out = str(tmp_path / "c.csv")
+    rc, _, stderr = run(["simulate", "--family", "heptagon", "--variant",
+                         "max", "--radius", radius, "--weights", "0,1",
+                         "--threads", "1", "--out", out, *flags], capsys)
+    assert rc == 4
+    assert stderr.startswith("error: ")
+    assert not os.path.exists(out)
+
+
+def test_non_integer_threads_env_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setenv("HOLOCODE_THREADS", "abc")
+    rc, stdout, stderr = run(["verify"], capsys)
+    assert rc == 4
+    assert stdout == "" and "HOLOCODE_THREADS" in stderr
+
+
+def test_decode_truncated_tableau_is_bad_input(tmp_path, capsys):
+    out = str(tmp_path / "code")
+    run(["build", "--family", "heptagon", "--variant", "max", "--radius", "2",
+         "--out", out], capsys)
+    lines = open(out + ".tab").read().splitlines()
+    with open(out + ".tab", "w") as fh:
+        fh.write("\n".join(lines[:4]) + "\n")
+    rc, _, stderr = run(["decode", "--code", out, "--syndrome", "0x1"], capsys)
+    assert rc == 4
+    assert "expected n - k + 2k = 50 rows of 42 Paulis" in stderr
+
+
+def test_decode_short_layer_list_is_bad_input(tmp_path, capsys):
+    out = str(tmp_path / "code")
+    run(["build", "--family", "heptagon", "--variant", "max", "--radius", "2",
+         "--out", out], capsys)
+    meta = json.load(open(out + ".json"))
+    meta["logical_layers"] = meta["logical_layers"][:3]
+    json.dump(meta, open(out + ".json", "w"))
+    rc, _, stderr = run(["decode", "--code", out, "--syndrome", "0x1"], capsys)
+    assert rc == 4
+    assert "expected k = 8 logical layers" in stderr
+
+
+@pytest.mark.parametrize("a, m, f", [(50, 10, 1), (-1, 10, 1), (5, 0, 0),
+                                     (5, 10, 12), (5, 10, -1)])
+def test_plotdata_rejects_impossible_curve_rows(tmp_path, capsys, a, m, f):
+    path = tmp_path / "bad.csv"
+    path.write_text("family,variant,R,n,k,target,a,m,f,P,sigma,timeouts\n"
+                    "heptagon,max,2,42,8,0,0,10,0,0.0,0.0,0\n"
+                    f"heptagon,max,2,42,8,0,{a},{m},{f},0.0,0.0,0\n")
+    out = str(tmp_path / "plot.csv")
+    rc, _, stderr = run(["plotdata", str(path), "--out", out], capsys)
+    assert rc == 4
+    assert f"a={a} m={m} f={f} is not 0 <= a <= n=42" in stderr
+    assert not os.path.exists(out)

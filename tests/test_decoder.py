@@ -20,6 +20,11 @@ from holocode.gf2 import Gf2Matrix, PauliVector, rank, right_inverse
 from oracles import DecodeProblem, branch_and_bound_min, exhaustive_min, milp_min
 
 
+def bits(*rows):
+    """Matrix from strings of 0/1, column 0 first."""
+    return Gf2Matrix([int(r[::-1], 2) for r in rows], len(rows[0]))
+
+
 def trellis_min(problem):
     """(weight, corrected vector) from a fresh trellis for ``problem``."""
     trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
@@ -36,13 +41,13 @@ def trellis_min(problem):
 
 
 def test_pure_error_zero_syndrome():
-    s = Gf2Matrix.from_rows(["1100011", "0111001", "0001111"])
+    s = bits("1100011", "0111001", "0001111")
     f = right_inverse(s)
     assert pure_error(f, 0) == 0
 
 
 def test_pure_error_satisfies_syndrome():
-    s = Gf2Matrix.from_rows(["1100011", "0111001", "0001111"])
+    s = bits("1100011", "0111001", "0001111")
     f = right_inverse(s)
     for y in range(1, 8):
         e = pure_error(f, y)
@@ -50,13 +55,13 @@ def test_pure_error_satisfies_syndrome():
 
 
 def test_pure_error_linearity():
-    s = Gf2Matrix.from_rows(["1100011", "0111001", "0001111"])
+    s = bits("1100011", "0111001", "0001111")
     f = right_inverse(s)
     assert pure_error(f, 0b011) == pure_error(f, 0b001) ^ pure_error(f, 0b010)
 
 
 def test_pure_error_dimension_check():
-    s = Gf2Matrix.from_rows(["110", "011"])
+    s = bits("110", "011")
     f = right_inverse(s)
     with pytest.raises(ValueError):
         pure_error(f, 0b100)

@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 from holocode.gf2 import (
     Gf2Matrix,
     PauliVector,
-    format_tableau,
+    eliminate,
     kernel,
     parse_tableau,
     rank,
     restrict,
     right_inverse,
     row_combination,
-    rref,
-    solve,
     symplectic_gram,
     symplectic_product,
-    vec_from_bits,
-    vec_to_bits,
 )
 
 # X-check rows of the single-tile Steane code (bulk column dropped);
@@ -31,6 +27,11 @@ STEANE_X_CHECKS = ["1100011", "0111001", "0001111"]
 
 def P(s):
     return PauliVector.from_string(s)
+
+
+def bits(*rows):
+    """Matrix from strings of 0/1, column 0 first."""
+    return Gf2Matrix([int(r[::-1], 2) for r in rows], len(rows[0]))
 
 
 def test_symplectic_product_examples():
@@ -105,88 +106,50 @@ def test_pauli_weights_and_strings():
     assert P("XX").mul(P("XZ")).to_string() == "IY"
 
 
-def test_vec_helpers_roundtrip():
-    bits = [1, 0, 1, 1, 0, 0, 1]
-    assert vec_to_bits(vec_from_bits(bits), 7) == bits
-
-
 def test_rref_identity():
-    m = Gf2Matrix.from_rows(["100", "010", "001"])
-    R, rk, piv = rref(m)
-    assert R == m and rk == 3 and piv == [0, 1, 2]
+    rows, _, piv = eliminate([1, 2, 4], 3)
+    assert rows == [1, 2, 4] and piv == [0, 1, 2]
 
 
 def test_rref_zero():
-    m = Gf2Matrix([0, 0], 4)
-    R, rk, piv = rref(m)
-    assert rk == 0 and piv == [] and R.rows == [0, 0]
+    rows, _, piv = eliminate([0, 0], 4)
+    assert piv == [] and rows == [0, 0]
 
 
 def test_rref_steane_x_checks_rank3():
-    m = Gf2Matrix.from_rows(STEANE_X_CHECKS)
-    _, rk, _ = rref(m)
-    assert rk == 3
+    m = bits(*STEANE_X_CHECKS)
+    assert eliminate(m.rows, m.cols)[2] == [0, 1, 3]
 
 
 def test_rref_idempotent():
     rng = random.Random(5)
     for _ in range(50):
-        m = Gf2Matrix([rng.getrandbits(9) for _ in range(6)], 9)
-        R1, _, _ = rref(m)
-        R2, _, _ = rref(R1)
-        assert R1 == R2
-
-
-def test_solve_identity():
-    m = Gf2Matrix.from_rows(["10", "01"])
-    assert solve(m, 0b10) == 0b10
-
-
-def test_solve_underdetermined():
-    m = Gf2Matrix.from_rows(["11"])
-    x = solve(m, 1)
-    assert x is not None and m.mul_vec(x) == 1
-
-
-def test_solve_inconsistent():
-    m = Gf2Matrix([0], 1)
-    assert solve(m, 1) is None
-
-
-def test_solve_never_inconsistent_in_image():
-    rng = random.Random(17)
-    for _ in range(100):
-        m = Gf2Matrix([rng.getrandbits(10) for _ in range(7)], 10)
-        x = rng.getrandbits(10)
-        y = m.mul_vec(x)
-        x2 = solve(m, y)
-        assert x2 is not None and m.mul_vec(x2) == y
+        R1 = eliminate([rng.getrandbits(9) for _ in range(6)], 9)[0]
+        assert eliminate(R1, 9)[0] == R1
 
 
 def test_right_inverse_identity():
-    m = Gf2Matrix.from_rows(["100", "010", "001"])
+    m = bits("100", "010", "001")
     f = right_inverse(m)
     assert f.rows == [1, 2, 4] and f.cols == 3
 
 
 def test_right_inverse_small():
-    s = Gf2Matrix.from_rows(["110", "011"])
+    s = bits("110", "011")
     f = right_inverse(s)
-    for j in range(2):
-        col = vec_from_bits((f.rows[i] >> j) & 1 for i in range(3))
-        assert s.mul_vec(col) == 1 << j
+    cols = f.transpose().rows
+    assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(s.n_rows)]
 
 
 def test_right_inverse_steane():
-    s = Gf2Matrix.from_rows(STEANE_X_CHECKS)
+    s = bits(*STEANE_X_CHECKS)
     f = right_inverse(s)
-    for j in range(3):
-        col = vec_from_bits((f.rows[i] >> j) & 1 for i in range(7))
-        assert s.mul_vec(col) == 1 << j
+    cols = f.transpose().rows
+    assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(s.n_rows)]
 
 
 def test_right_inverse_dependent_rows():
-    s = Gf2Matrix.from_rows(["11", "11"])
+    s = bits("11", "11")
     with pytest.raises(ValueError):
         right_inverse(s)
 
@@ -200,15 +163,14 @@ def test_right_inverse_random_property():
         if rank(s) < 5:
             continue
         f = right_inverse(s)
-        for j in range(5):
-            col = vec_from_bits((f.rows[i] >> j) & 1 for i in range(12))
-            assert s.mul_vec(col) == 1 << j
+        cols = f.transpose().rows
+        assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(5)]
         done += 1
 
 
 def test_kernel_examples():
-    assert kernel(Gf2Matrix.from_rows(["10", "01"])) == []
-    assert kernel(Gf2Matrix.from_rows(["11"])) == [0b11]
+    assert kernel(bits("10", "01")) == []
+    assert kernel(bits("11")) == [0b11]
     assert len(kernel(Gf2Matrix([0], 3))) == 3
 
 
@@ -265,7 +227,7 @@ def leftmost_column_basis(M: Gf2Matrix) -> list:
     columns before them."""
     basis, spanned = [], {0}
     for j in range(M.cols):
-        col = vec_from_bits((r >> j) & 1 for r in M.rows)
+        col = sum(((r >> j) & 1) << i for i, r in enumerate(M.rows))
         if col not in spanned:
             basis.append(j)
             spanned |= {u ^ col for u in spanned}
@@ -303,20 +265,7 @@ def matrices(draw, max_rows=6, max_cols=8):
 @given(matrices())
 def test_rank_is_brute_force_span_size(M):
     assert 1 << rank(M) == len(span(M.rows))
-    assert rref(M)[2] == leftmost_column_basis(M)
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.integers(0, 255))
-def test_solve_sets_free_variables_to_zero(M, y):
-    y &= (1 << M.n_rows) - 1
-    solutions = [x for x in range(1 << M.cols) if M.mul_vec(x) == y]
-    basis = mask_of(leftmost_column_basis(M))
-    x = solve(M, y)
-    if not solutions:
-        assert x is None
-    else:
-        assert [s for s in solutions if not s & ~basis] == [x]
+    assert eliminate(M.rows, M.cols)[2] == leftmost_column_basis(M)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,10 +307,10 @@ def test_row_combination_matches_brute_force(M, v):
 
 
 def test_tableau_roundtrip():
-    gens = [P("XIZY"), P("IIII"), P("ZZZZ")]
-    text = format_tableau(gens, comment="three generators")
+    text = "# three generators\nXIZY\n\nIIII  # identity\nZZZZ\n"
     parsed = parse_tableau(text)
-    assert parsed == gens
+    assert parsed == [P("XIZY"), P("IIII"), P("ZZZZ")]
+    assert [p.to_string() for p in parsed] == ["XIZY", "IIII", "ZZZZ"]
 
 
 def test_tableau_rejects_ragged():

@@ -121,11 +121,3 @@ def test_fixed_tile_is_logical_zero_state():
     # the restricted logical Z must be in the group: check Z on legs 3,5
     rows = {g.to_string() for g in f.generators}
     assert "IIZIZ" in rows
-
-
-def test_seed_text_roundtrip():
-    for seed in (steane_tensor(), scf_tensor(), five_qubit_tensor()):
-        again = SeedCode.from_text(seed.to_text())
-        assert again.leg_order == seed.leg_order
-        assert again.bulk == seed.bulk
-        assert again.generators == seed.generators

@@ -103,6 +103,15 @@ def test_run_trials_scf_weight_one_sometimes_fails():
     assert 0 < rec.f < 200
 
 
+@pytest.mark.parametrize("target, m", [(1, 10), (-1, 10), (0, 0)])
+def test_bad_target_or_trial_count_raises_before_decoding(target, m):
+    code = build_code("heptagon", "max", 1)  # k = 1
+    with pytest.raises(ValueError):
+        run_trials(code, target, 0, m, seed=0)
+    with pytest.raises(ValueError):
+        simulate_code(code, target, trials_per_weight=m, weights=[0])
+
+
 def test_binomial_mix_analytic_cases():
     n = 9
     zero = [WeightRecord(a, 100, 0) for a in range(n + 1)]

@@ -6,7 +6,6 @@ import pytest
 
 from holocode.tiling import (
     REFERENCE_BOUNDARY_COUNTS,
-    TileGraph,
     build_tiling,
     counts,
 )
@@ -84,16 +83,6 @@ def test_unsupported_combinations_raise():
         build_tiling("pentagon", 0, "max")
     with pytest.raises(ValueError):
         build_tiling("square", 2, "max")
-
-
-def test_json_roundtrip():
-    g = build_tiling("pentagon", 3, "reduced")
-    h = TileGraph.from_json(g.to_json())
-    assert h.tiles == g.tiles
-    assert h.edges == g.edges
-    assert h.boundary_legs == g.boundary_legs
-    assert h.bulk_legs == g.bulk_legs
-    h.validate()
 
 
 def test_counts_runtime_budget():
