@@ -8,7 +8,7 @@ element of its coset over stabilizers and logicals - here with an exact
 trellis sweep.
 """
 
-from holocode import CodeDecoder, PauliVector, build_code, css_split
+from holocode import CodeDecoder, PauliVector, build_code, css_split, run_trials
 
 code = build_code("heptagon", "max", 2)
 print(f"heptagon R=2: [[{code.n},{code.k}]] css={code.css}")
@@ -32,15 +32,6 @@ print("correction:  ", correction.to_string())
 print("net effect on the 8 bulk qubits:", dec.net_logical_effect(net))
 
 # Push the weight up until the decoder starts losing the central qubit.
-from holocode.sim import _trial_rng, sample_fixed_weight_error
-
 for a in (1, 3, 5, 8, 12):
-    fails = 0
-    trials = 300
-    for t in range(trials):
-        rng = _trial_rng(1, "demo", a, t)
-        err = sample_fixed_weight_error(code.n, a, rng)
-        corr, _ = dec.decode(dec.syndrome(err))
-        if dec.net_logical_effect(err.mul(corr))[0] != "I":
-            fails += 1
-    print(f"weight {a:2d}: central-qubit failure rate {fails / trials:.3f}")
+    rec = run_trials(code, 0, a, 300, seed=1, decoder=dec)
+    print(f"weight {a:2d}: central-qubit failure rate {rec.p:.3f}")

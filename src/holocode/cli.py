@@ -2,10 +2,11 @@
 
 Subcommands: build, verify, decode, distance, simulate, threshold,
 plotdata, reproduce.  Flags override values from an optional JSON config
-file (--config), which override defaults; every run writes a manifest
-holding the fully resolved configuration so it can be replayed with
---config manifest.json.  Exit codes: 0 success, 2 invariant failure,
-3 trellis state limit exceeded, 4 bad input.
+file (--config), which override defaults.  A command that writes output
+also writes its run record (a manifest) next to it, holding every argument
+of the subcommand but --threads, so --config manifest.json replays it.
+Exit codes: 0 success, 2 invariant failure (or no crossing), 3 trellis
+state limit exceeded, 4 bad input.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
+import numpy as np
+import scipy
+
 from . import __version__
-from .builder import DEFAULT_SEEDS, HolographicCode, build_code
+from .builder import HolographicCode, build_code
 from .decoder import CodeDecoder, TrellisLimitError
 from .distance import bit_distance, fit_distance_scaling, word_distance
-from .gf2 import PauliVector
 from .seeds import (
     CATALOG,
     blank_tile,
@@ -52,19 +56,38 @@ def _threads_default():
     return os.cpu_count() or 1
 
 
-def _write_manifest(path, subcommand, config):
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
+def _write_json(path, obj):
+    """Write obj as indented, key-sorted JSON to path, if one is given, and
+    return the text."""
+    text = json.dumps(obj, indent=1, sort_keys=True)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return text
+
+
+def _write_manifest(parser, args):
+    """Write the run record of a finished command next to its output:
+    ``<out_dir>/manifest.json``, else ``<out>.manifest.json``, else none.
+
+    Its config is every argument of the subcommand but ``threads``: curves
+    do not depend on the worker count, and a replay sizes its own pool.
+    """
+    if getattr(args, "out_dir", None):
+        path = os.path.join(args.out_dir, "manifest.json")
+    elif getattr(args, "out", None):
+        path = args.out + ".manifest.json"
+    else:
+        return
+    keys = _subcommand_dests(parser, args.subcommand) - {"help", "threads"}
+    _write_json(path, {
+        "subcommand": args.subcommand,
+        "config": {k: getattr(args, k) for k in keys},
         "package_version": __version__,
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _resolved(args, keys):
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+    })
 
 
 # -- build ------------------------------------------------------------------
@@ -78,9 +101,6 @@ def cmd_build(args):
     print(f"n={n} k={k} rate={k / n:.6f} css={code.css}")
     if args.out:
         code.save(args.out)
-        keys = ["family", "variant", "radius", "seed_code", "out"]
-        _write_manifest(args.out + ".manifest.json", "build",
-                        _resolved(args, keys))
         print(f"wrote {args.out}.tab / {args.out}.json")
     return EXIT_OK
 
@@ -209,14 +229,7 @@ def cmd_distance(args):
                "layer": code.logicals[q].layer, **fields}
         rows.append(row)
         print(json.dumps(row, sort_keys=True))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        keys = ["family", "variant", "radius", "seed_code", "qubit",
-                "sector", "out"]
-        _write_manifest(args.out + ".manifest.json", "distance",
-                        _resolved(args, keys))
+    _write_json(args.out, rows)
     return EXIT_OK
 
 
@@ -234,10 +247,6 @@ def cmd_simulate(args):
         seed=args.seed, weights=weights, threads=args.threads,
     )
     write_curve_csv(curve, args.out)
-    keys = ["family", "variant", "radius", "seed_code", "weights",
-            "trials_per_weight", "seed", "target", "out"]
-    config = _resolved(args, keys)
-    _write_manifest(args.out + ".manifest.json", "simulate", config)
     print(f"wrote {args.out} ({len(curve.records)} weights)")
     return EXIT_OK
 
@@ -255,33 +264,21 @@ def _threshold_fields(curves):
 
 
 def cmd_threshold(args):
-    curves = [read_curve_csv(p) for p in args.results]
-    out = _threshold_fields(curves)
-    if "error" in out:
-        print(json.dumps(out))
-        return EXIT_INVARIANT
-    text = json.dumps(out, indent=1, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        _write_manifest(args.out + ".manifest.json", "threshold",
-                        {"results": args.results, "out": args.out})
-    return EXIT_OK
+    if len(args.results) < 2:
+        raise ValueError("threshold needs at least two curve files")
+    out = _threshold_fields([read_curve_csv(p) for p in args.results])
+    print(_write_json(args.out, out))
+    return EXIT_INVARIANT if "error" in out else EXIT_OK
 
 
 def cmd_plotdata(args):
     curve = read_curve_csv(args.results)
-    import numpy as np
-
     ps = np.linspace(args.p_min, args.p_max, args.p_steps)
     rows = plot_data(curve, ps)
     with open(args.out, "w") as fh:
         fh.write("p,p_failure,sigma\n")
         for p, v, s in rows:
             fh.write(f"{p!r},{v!r},{s!r}\n")
-    _write_manifest(args.out + ".manifest.json", "plotdata",
-                    _resolved(args, ["results", "p_min", "p_max", "p_steps", "out"]))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -292,60 +289,50 @@ DESK_SCALE_RADIUS = 4
 
 
 def cmd_reproduce(args):
+    args.out_dir = args.out_dir or f"reproduce_{args.id}"
     os.makedirs(args.out_dir, exist_ok=True)
-    rid = args.id
-    if rid == "table3":
+    if args.id == "table3":
         return _reproduce_table3(args)
-    if rid == "fig5":
+    if args.id == "fig5":
         return _reproduce_fig5(args)
-    if rid in ("fig3a", "fig3b", "fig3c"):
-        return _reproduce_fig3(args)
-    raise ValueError(f"unknown reproduction id: {rid}")
+    return _reproduce_fig3(args)
 
 
-def _reproduce_table3(args):
-    rows = []
-    for fam, var in (("heptagon", "max"), ("pentagon", "reduced"),
-                     ("pentagon", "zero")):
-        for R in range(1, args.max_radius + 1):
+def _distance_rows(families, max_radius):
+    """Central-qubit distance rows of each (family, variant), R = 1 up."""
+    for fam, var in families:
+        for R in range(1, max_radius + 1):
             if R > DESK_SCALE_RADIUS:
                 print(f"warning: {fam}/{var} R={R} is above desk scale; "
                       "the trellis may exceed its state limit",
                       file=sys.stderr)
             code = build_code(fam, var, R)
-            row = {"family": fam, "variant": var, "R": R, "n": code.n,
+            yield {"family": fam, "variant": var, "R": R, "n": code.n,
                    "k": code.k, **_distance_fields(code, 0)}
-            rows.append(row)
-            print(json.dumps(row, sort_keys=True))
-    path = os.path.join(args.out_dir, "table3.json")
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
-                    _resolved(args, ["id", "max_radius", "out_dir"]))
+
+
+def _reproduce_table3(args):
+    rows = []
+    for row in _distance_rows((("heptagon", "max"), ("pentagon", "reduced"),
+                               ("pentagon", "zero")), args.max_radius):
+        print(json.dumps(row, sort_keys=True))
+        rows.append(row)
+    _write_json(os.path.join(args.out_dir, "table3.json"), rows)
     return EXIT_OK
 
 
 def _reproduce_fig5(args):
-    points_b = []
-    points_w = []
-    for R in range(1, args.max_radius + 1):
-        code = build_code("heptagon", "max", R)
-        d = _distance_fields(code, 0)
-        points_b.append((code.n, d["bit_distance"]))
-        points_w.append((code.n, d.get("word_distance", d["bit_distance"])))
+    rows = list(_distance_rows((("heptagon", "max"),), args.max_radius))
+    points_b = [(r["n"], r["bit_distance"]) for r in rows]
+    points_w = [(r["n"], r.get("word_distance", r["bit_distance"]))
+                for r in rows]
     out = {"bit_points": points_b, "word_points": points_w}
     for name, points in (("bit", points_b), ("word", points_w)):
         if len(points) >= 3:
             exp, ci = fit_distance_scaling(points)
             out[f"{name}_exponent"] = exp
             out[f"{name}_ci95"] = list(ci)
-    text = json.dumps(out, indent=1, sort_keys=True)
-    print(text)
-    with open(os.path.join(args.out_dir, "fig5.json"), "w") as fh:
-        fh.write(text + "\n")
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
-                    _resolved(args, ["id", "max_radius", "out_dir"]))
+    print(_write_json(os.path.join(args.out_dir, "fig5.json"), out))
     return EXIT_OK
 
 
@@ -358,7 +345,7 @@ def _reproduce_fig3(args):
         "fig3c": ("pentagon", "zero", "1,2"),
     }[args.id]
     if args.radii is None:
-        args.radii = default_radii
+        args.radii = default_radii  # so the run record holds the radii
     radii = [int(r) for r in args.radii.split(",")]
     curves = []
     for R in radii:
@@ -374,13 +361,8 @@ def _reproduce_fig3(args):
         print(f"wrote {path}")
         curves.append(curve)
     out = _threshold_fields(curves) if len(curves) >= 2 else {}
-    text = json.dumps(out, indent=1, sort_keys=True)
-    print(text)
-    with open(os.path.join(args.out_dir, f"{args.id}_threshold.json"), "w") as fh:
-        fh.write(text + "\n")
-    _write_manifest(os.path.join(args.out_dir, "manifest.json"), "reproduce",
-                    _resolved(args, ["id", "radii", "trials", "seed",
-                                     "out_dir"]))
+    print(_write_json(os.path.join(args.out_dir, f"{args.id}_threshold.json"),
+                      out))
     return EXIT_INVARIANT if "error" in out else EXIT_OK
 
 
@@ -524,9 +506,9 @@ def main(argv=None) -> int:
         if "--config" in argv:
             _inject_config(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "out_dir", "missing") is None:
-            args.out_dir = f"reproduce_{args.id}"
-        return args.func(args)
+        rc = args.func(args)
+        _write_manifest(parser, args)
+        return rc
     except SystemExit as exc:  # argparse: --help, or flags it rejects
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     except TrellisLimitError as exc:

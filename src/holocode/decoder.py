@@ -293,30 +293,25 @@ class CodeDecoder:
         gens = [stabs + [r for rows in logicals for r in rows]
                 for stabs, logicals, _, _ in sectors]
         # A sector's vectors are bits [lo, lo + width) of a Pauli packed
-        # x || z, so each sector below carries (checks, ISF, lo).
+        # x || z (a CSS code's Z errors are the z half, X errors the x
+        # half).  With v packed x || z, parity(v & (s.z || s.x)) is <v, s>,
+        # so a sector's checks are the nonzero windows of the stabilizers
+        # packed z || x.
+        swapped = [s.z | (s.x << n) for s in code.stabilizers]
+        self._sectors = []
+        los = [n, 0] if code.css else [0]
+        for g, lo, (_, _, width, fold) in zip(gens, los, sectors):
+            mask = (1 << width) - 1
+            H = Gf2Matrix([r for v in swapped if (r := (v >> lo) & mask)], width)
+            self._sectors.append((H, right_inverse(H), CosetTrellis(
+                g, width, fold_shift=fold), g, lo, mask))
+        self.mode = "css" if code.css else "symplectic"
         if code.css:
-            self.mode = "css"
             self.z_gens, self.x_gens = gens
-            # Z errors (the z half) meet the X-type checks, X errors (the x
-            # half) the Z-type ones.
-            self.sx = Gf2Matrix(sectors[1][0], n)
-            self.sz = Gf2Matrix(sectors[0][0], n)
-            self.fx = right_inverse(self.sx)
-            self.fz = right_inverse(self.sz)
-            checks = [(self.sx, self.fx, n), (self.sz, self.fz, 0)]
+            (self.sx, self.fx, *_), (self.sz, self.fz, *_) = self._sectors
         else:
-            self.mode = "symplectic"
             (self.sym_gens,) = gens
-            # With v packed x || z, parity(v & (s.z || s.x)) is <v, s>.
-            nmask = (1 << n) - 1
-            self.h = Gf2Matrix([(r >> n) | ((r & nmask) << n)
-                                for r in sectors[0][0]], 2 * n)
-            self.f = right_inverse(self.h)
-            checks = [(self.h, self.f, 0)]
-        self._sectors = [
-            (H, F, CosetTrellis(g, width, fold_shift=fold), g, lo,
-             (1 << width) - 1)
-            for (H, F, lo), g, (_, _, width, fold) in zip(checks, gens, sectors)]
+            ((self.h, self.f, *_),) = self._sectors
         # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
         # as z || x, parity(v & P) is the symplectic product <v, P>.
         self._partners = [(_pack(lq.z_rep), _pack(lq.x_rep))

@@ -1,10 +1,14 @@
 """Network contraction and boundary-code extraction."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holocode.builder import (
     HolographicCode,
@@ -294,6 +298,43 @@ def test_save_load_roundtrip(tmp_path):
     assert [l.x_rep for l in again.logicals] == [l.x_rep for l in code.logicals]
     assert again.css == code.css
     assert [l.layer for l in again.logicals] == [l.layer for l in code.logicals]
+
+
+_small_code = functools.lru_cache(build_code)
+SMALL_SPECS = [("heptagon", "max", 2), ("pentagon", "reduced", 2),
+               ("pentagon", "zero", 2), ("pentagon", "max", 1, "scf")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.data())
+def test_save_load_roundtrip_property(spec, data):
+    """Any valid code reads back equal: random stabilizer row operations,
+    representatives times random stabilizers, and random layer labels.  A
+    CSS code only combines rows of one type, so it stays CSS."""
+    code = _small_code(*spec)
+    stabs = list(code.stabilizers)
+    m = len(stabs)
+
+    def times_stabilizers(p, picks):
+        for i in picks:
+            if not code.css or (p.x != 0, p.z != 0) == (stabs[i].x != 0,
+                                                        stabs[i].z != 0):
+                p = p.mul(stabs[i])
+        return p
+
+    picks = st.lists(st.integers(0, m - 1), max_size=4)
+    for i in range(m):
+        stabs[i] = times_stabilizers(
+            stabs[i], [j for j in data.draw(picks) if j != i])
+    logicals = [type(lq)(lq.id, data.draw(st.integers(0, 9)),
+                         times_stabilizers(lq.x_rep, data.draw(picks)),
+                         times_stabilizers(lq.z_rep, data.draw(picks)))
+                for lq in code.logicals]
+    mutated = dataclasses.replace(code, stabilizers=stabs, logicals=logicals)
+    mutated.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated.save(tmp + "/code")
+        assert HolographicCode.load(tmp + "/code") == mutated
 
 
 def test_logical_layers_recorded():

@@ -317,3 +317,80 @@ def test_plotdata_rejects_impossible_curve_rows(tmp_path, capsys, a, m, f):
     assert rc == 4
     assert f"a={a} m={m} f={f} is not 0 <= a <= n=42" in stderr
     assert not os.path.exists(out)
+
+
+# -- run records and threshold exit codes --------------------------------------
+
+
+def _curve_csv(path, radius, n, f):
+    """A curve file of every weight 0..n, each with 10 trials and f failures
+    (0 at weight 0)."""
+    rows = [f"heptagon,max,{radius},{n},1,0,{a},10,{f if a else 0},0.0,0.0,0"
+            for a in range(n + 1)]
+    path.write_text("family,variant,R,n,k,target,a,m,f,P,sigma,timeouts\n"
+                    + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_threshold_one_curve_is_bad_input(tmp_path, capsys):
+    one = _curve_csv(tmp_path / "one.csv", 1, 7, 5)
+    out = str(tmp_path / "th.json")
+    rc, stdout, stderr = run(["threshold", one, "--out", out], capsys)
+    assert rc == 4
+    assert stdout == "" and "at least two curve files" in stderr
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".manifest.json")
+
+
+def test_threshold_without_crossing_writes_error_and_record(tmp_path, capsys):
+    # The smaller code fails at every weight above 0 and the larger never
+    # does, so the difference of the mixed curves never turns negative.
+    small = _curve_csv(tmp_path / "r1.csv", 1, 7, 10)
+    large = _curve_csv(tmp_path / "r2.csv", 2, 42, 0)
+    out = str(tmp_path / "th.json")
+    rc, stdout, _ = run(["threshold", small, large, "--out", out], capsys)
+    assert rc == 2
+    assert json.load(open(out)) == json.loads(stdout)
+    assert "no crossing" in json.load(open(out))["error"]
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["subcommand"] == "threshold"
+    assert manifest["config"] == {"results": [small, large], "out": out}
+
+
+def test_record_holds_every_argument_but_threads(tmp_path, capsys):
+    out = str(tmp_path / "c.csv")
+    rc, _, _ = run(["simulate", "--family", "heptagon", "--variant", "max",
+                    "--radius", "1", "--weights", "0,1",
+                    "--trials-per-weight", "5", "--threads", "1",
+                    "--out", out], capsys)
+    assert rc == 0
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["config"] == {
+        "family": "heptagon", "variant": "max", "radius": 1,
+        "seed_code": None, "weights": "0,1", "trials_per_weight": 5,
+        "seed": 0, "target": "central", "out": out}
+    for key in ("package_version", "python_version", "numpy_version",
+                "scipy_version"):
+        assert isinstance(manifest[key], str) and manifest[key]
+
+    outdir = str(tmp_path / "rep")
+    rc, _, _ = run(["reproduce", "table3", "--max-radius", "1",
+                    "--out-dir", outdir], capsys)
+    assert rc == 0
+    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
+    assert sorted(config) == ["id", "max_radius", "out_dir", "radii", "seed",
+                              "trials"]
+
+
+def test_reproduce_record_replays_byte_identical(tmp_path, capsys):
+    first = str(tmp_path / "a")
+    rc, _, _ = run(["reproduce", "fig3a", "--radii", "1,2", "--trials", "10",
+                    "--threads", "1", "--out-dir", first], capsys)
+    assert rc in (0, 2)
+    second = str(tmp_path / "b")
+    rc2, _, _ = run(["--config", os.path.join(first, "manifest.json"),
+                     "--out-dir", second], capsys)
+    assert rc2 == rc
+    for name in ("fig3a_R1.csv", "fig3a_R2.csv", "fig3a_threshold.json"):
+        assert (open(os.path.join(first, name)).read()
+                == open(os.path.join(second, name)).read()), name

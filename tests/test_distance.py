@@ -158,3 +158,26 @@ def test_fit_heptagon_bit_exponent_matches_reference_band():
     exponent, (lo, hi) = fit_distance_scaling(points)
     assert lo <= 0.54 + 0.03 and hi >= 0.54 - 0.03
     assert 0.4 < exponent < 0.7
+
+
+# Word distance of every bulk qubit, grouped by layer (0 is the centre).  A
+# heptagon qubit's word distance is set by its depth below the boundary:
+# the outermost layer has 3 at every radius, and the layers further in have
+# 6, 8 and then 15.  heptagon/max R=4 takes about 10 s.
+WORD_DISTANCE_BY_LAYER = {
+    ("heptagon", "max", 2): {0: {6}, 1: {3}},
+    ("heptagon", "max", 3): {0: {8}, 1: {6}, 2: {3}},
+    ("heptagon", "max", 4): {0: {15}, 1: {8}, 2: {6}, 3: {3}},
+    ("pentagon", "reduced", 3): {0: {4}, 2: {2, 3}},
+    ("pentagon", "reduced", 4): {0: {8}, 2: {4, 6}},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WORD_DISTANCE_BY_LAYER),
+                         ids=lambda s: "-".join(map(str, s)))
+def test_bulk_word_distance_by_layer(spec):
+    code = build_code(*spec)
+    by_layer = {}
+    for q, lq in enumerate(code.logicals):
+        by_layer.setdefault(lq.layer, set()).add(word_distance(code, q).value)
+    assert by_layer == WORD_DISTANCE_BY_LAYER[spec]

@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holocode.builder import build_code
 from holocode.decoder import CodeDecoder
@@ -281,6 +284,34 @@ def test_csv_roundtrip(tmp_path):
     assert (again.family, again.variant, again.radius) == \
         (curve.family, curve.variant, curve.radius)
     assert again.n == curve.n
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(1, 1000))
+    k = draw(st.integers(1, 300))
+    curve = FailureCurve(draw(st.sampled_from(["heptagon", "pentagon"])),
+                         draw(st.sampled_from(["max", "reduced", "zero"])),
+                         draw(st.integers(1, 8)), n, k,
+                         draw(st.integers(0, k - 1)), 0)
+    for a in draw(st.lists(st.integers(0, n), min_size=1, max_size=30,
+                           unique=True)):
+        m = draw(st.integers(1, 10**6))
+        curve.records.append(WeightRecord(a, m, draw(st.integers(0, m))))
+    return curve
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves())
+def test_csv_roundtrip_property(curve):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = tmp + "/curve.csv"
+        write_curve_csv(curve, path)
+        again = read_curve_csv(path)
+    # The file does not hold the seed (the strategy draws 0), and reading
+    # sorts the rows by weight.
+    curve.records.sort(key=lambda r: r.a)
+    assert again == curve
 
 
 def test_mixed_curve_values_in_range():
