@@ -64,13 +64,15 @@ def _project_pair(gens: list, width: int, a: int, b: int):
     for i, g in enumerate(gens):
         if i in (i1, i2):
             continue
-        if (g.x >> a) & 1:
-            g = g.mul(m1)
-        if (g.z >> a) & 1:
-            g = g.mul(m2)
-        gens[i] = g
-        if g.support & mask:
+        x, z = g.x, g.z
+        if (x >> a) & 1:
+            x ^= mask
+        if (z >> a) & 1:
+            z ^= mask
+        if (x | z) & mask:
             raise AssertionError("leg not cleared by pair projection")
+        if x != g.x or z != g.z:
+            gens[i] = PauliVector(width, x, z)
     for i in sorted((i1, i2), reverse=True):
         del gens[i]
 
@@ -266,19 +268,22 @@ def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):
     """One pass of multiplying v by each row, but row ``skip``, that
     lowers its Pauli weight.  ``sups[j]`` is row j's support; rows with
     disjoint support can only grow the weight, so they are skipped without
-    forming the product.  Returns (v, whether it changed)."""
-    sup = v.support
+    forming the product.  Candidates are weighed on the raw x and z bits.
+    Returns (v, whether it changed)."""
+    x, z = v.x, v.z
+    sup = x | z
     weight = sup.bit_count()
-    changed = False
     for j, (row, row_sup) in enumerate(zip(rows, sups)):
         if j == skip or not (sup & row_sup):
             continue
-        cand = v.mul(row)
-        if cand.weight() < weight:
-            v, sup = cand, cand.support
+        cx, cz = x ^ row.x, z ^ row.z
+        if (cx | cz).bit_count() < weight:
+            x, z = cx, cz
+            sup = x | z
             weight = sup.bit_count()
-            changed = True
-    return v, changed
+    if x == v.x and z == v.z:
+        return v, False
+    return PauliVector(v.n, x, z), True
 
 
 def extract_code(state: NetworkState, graph: TileGraph,

@@ -495,7 +495,7 @@ def _inject_config(parser, argv):
             argv.extend(str(v) for v in vals)
         else:
             flag = "--" + key.replace("_", "-")
-            if flag not in argv:
+            if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 argv.extend([flag, str(value)])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import HolographicCode
-from .decoder import CosetTrellis, coset_sectors
+from .decoder import coset_sectors, coset_weight
 
 
 @dataclass
@@ -60,8 +60,8 @@ def _distance(code, qubit, sector, with_others, kind):
         if with_others:
             rows += [r for j, qubit_rows in enumerate(logicals) if j != qubit
                      for r in qubit_rows]
-        trellis = CosetTrellis(rows, width, fold_shift=fold)
-        weights.append(trellis.minimize(logicals[qubit][0])[0])
+        weights.append(coset_weight(rows, width, logicals[qubit][0],
+                                    fold_shift=fold))
     return DistanceResult(qubit, sector, kind, min(weights), True)
 
 

@@ -98,8 +98,8 @@ def test_decode_mode_flag_is_gone(tmp_path, capsys):
 def test_trellis_state_limit_exits_3(monkeypatch, capsys):
     import holocode.distance as distance
 
-    real = distance.CosetTrellis
-    monkeypatch.setattr(distance, "CosetTrellis",
+    real = distance.coset_weight
+    monkeypatch.setattr(distance, "coset_weight",
                         lambda *a, **k: real(*a, state_limit=4, **k))
     rc, stdout, err = run(["distance", "--family", "heptagon", "--variant",
                            "max", "--radius", "2"], capsys)
@@ -157,6 +157,21 @@ def test_simulate_manifest_replay_byte_identical(tmp_path, capsys):
                     "--out", second], capsys)
     assert rc == 0
     assert open(first).read() == open(second).read()
+
+
+def test_replay_explicit_flag_with_equals_wins(tmp_path, capsys):
+    first = str(tmp_path / "a")
+    rc, _, _ = run(["build", "--family", "heptagon", "--variant", "max",
+                    "--radius", "1", "--out", first], capsys)
+    assert rc == 0
+    before = open(first + ".tab").read()
+    os.remove(first + ".tab")
+    second = str(tmp_path / "b")
+    rc, _, _ = run(["--config", first + ".manifest.json", "build",
+                    "--out=" + second], capsys)
+    assert rc == 0
+    assert open(second + ".tab").read() == before
+    assert not os.path.exists(first + ".tab")
 
 
 def test_replay_skips_keys_the_subcommand_no_longer_takes(tmp_path, capsys):

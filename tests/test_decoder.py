@@ -14,6 +14,7 @@ from holocode.decoder import (
     CosetTrellis,
     TrellisLimitError,
     _minimal_span,
+    coset_weight,
     pure_error,
 )
 from holocode.gf2 import Gf2Matrix, PauliVector, rank, right_inverse
@@ -168,8 +169,14 @@ def test_trellis_state_limit_raises():
     # three overlapping rows straddle the middle columns: 2^3 states
     gens = [0b0001111, 0b0011110, 0b0111100]
     CosetTrellis(gens, 7, state_limit=8)
-    with pytest.raises(TrellisLimitError, match="above the limit of 4"):
+    assert coset_weight(gens, 7, 0b1000001, state_limit=8) == 2
+    with pytest.raises(TrellisLimitError,
+                       match="above the limit of 4") as stored:
         CosetTrellis(gens, 7, state_limit=4)
+    # The streamed sweep raises the same error as the stored trellis.
+    with pytest.raises(TrellisLimitError) as streamed:
+        coset_weight(gens, 7, 0, state_limit=4)
+    assert str(streamed.value) == str(stored.value)
 
 
 @pytest.mark.parametrize("spec", [("heptagon", "max", 3),  # CSS sectors
@@ -367,6 +374,15 @@ def test_trellis_property_against_brute_force(problem):
     for g in problem.gens:
         span |= {s ^ g for s in span}
     assert rest in span
+
+
+@settings(max_examples=300, deadline=None)
+@given(coset_problems())
+def test_coset_weight_equals_trellis_minimum(problem):
+    trellis = CosetTrellis(problem.gens, problem.width, problem.fold_shift)
+    assert coset_weight(problem.gens, problem.width, problem.target,
+                        fold_shift=problem.fold_shift) \
+        == trellis.minimize(problem.target)[0]
 
 
 # -- decode and logical effects ------------------------------------------------

@@ -1,5 +1,7 @@
 """Bit and word distances against the small-radius reference values."""
 
+import tracemalloc
+
 import pytest
 
 from holocode.builder import build_code
@@ -74,6 +76,20 @@ def test_non_css_distances_with_many_logicals_match_milp():
     for q in (3, 6):
         assert word_distance(code, q).value == oracle(q, True)
     assert word_distance(code, 3).value == 4 < bit_distance(code, 3).value
+
+
+def test_bit_distance_streams_its_trellis():
+    # pentagon/zero R=4 sweeps 2^20 states at its peak.  A stored
+    # trellis keeps a parity byte per state and column, 78 MiB here; the
+    # streamed sweep holds about 4.5 MiB.
+    code = build_code("pentagon", "zero", 4)
+    tracemalloc.start()
+    try:
+        assert bit_distance(code, 0).value == 41
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_word_never_exceeds_bit():
