@@ -9,9 +9,10 @@ for linear block codes", IEEE Trans. IT 1996).  ``coset_sectors`` turns a
 code into these coset problems, one per error sector; decoding and the
 distances of ``holocode.distance`` read the same sector rows and use the
 same minimizer.  The trellis keeps its state bits ordered by where their
-rows end, so a sweep is slices, repeats and adds over one weight array,
-and it stores one parity byte per state and column, which the sweep
-compares with the target's bits there.
+rows end, the first to end on the top bit, so a sweep is repeats, adds
+and compares of contiguous halves over one weight array, and it stores
+one parity byte per state and column, which the sweep compares with the
+target's bits there.
 A trellis whose state profile exceeds its limit raises
 ``TrellisLimitError`` instead of returning an uncertified answer.
 
@@ -139,10 +140,12 @@ def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
     interleaves a folded target (None unfolded), each reduced row's mask
     over ``gens`` in row order, and the sweep's weight type.  Then one op
     at a time: ("branch", row, bit), ("emit", shift, pattern, code) and
-    ("merge", row), in sweep order.  A consumer that drops each op once
-    swept holds one column's parity row at a time.  Raises
-    ``TrellisLimitError`` at the first branch that needs more than
-    ``state_limit`` states.
+    ("merge", row), in sweep order.  A branch's bit counts from the bottom:
+    it is the number of active rows that end after the new one, or at the
+    same column but start before it, so a merge always takes the top bit.
+    A consumer that drops each op once swept holds one column's parity row
+    at a time.  Raises ``TrellisLimitError`` at the first branch that
+    needs more than ``state_limit`` states.
     """
     if fold_shift is None:
         spread = None
@@ -170,10 +173,12 @@ def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
            np.int16 if positions < 1 << 15 else np.int32)
 
     pattern = (1 << stride) - 1
-    active = []  # state bit -> (end position, -row), ascending
+    # State bit -> (-end position, row), ascending: the last to end holds
+    # bit 0 and the first to end the top bit.
+    active = []
     for p in range(positions):
         for i in start_at[p]:
-            key = ((rows[i].bit_length() - 1) // stride, -i)
+            key = (-((rows[i].bit_length() - 1) // stride), i)
             b = bisect.bisect(active, key)
             active.insert(b, key)
             if 1 << len(active) > state_limit:
@@ -181,10 +186,10 @@ def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
                     f"trellis needs 2^{len(active)} states at position "
                     f"{p}, above the limit of {state_limit}")
             yield ("branch", i, b)
-        vs = [(rows[-neg] >> (stride * p)) & pattern for _, neg in active]
+        vs = [(rows[i] >> (stride * p)) & pattern for _, i in active]
         yield ("emit", stride * p, pattern, _parity_row(vs))
-        while active and active[0][0] == p:
-            yield ("merge", -active.pop(0)[1])
+        while active and active[-1][0] == -p:
+            yield ("merge", active.pop()[1])
     if active:
         raise AssertionError("rows still active after final position")
 
@@ -197,8 +202,10 @@ def _sweep(ops, t: int, wtype, sels=None) -> int:
     subtracts it and adds 1 to an offset shared by every state; a merge
     compares differences, which the offset leaves alone.  A Pauli-folded
     column adds 1 where the parities differ from the target's bit pair.
-    With ``sels`` given, appends each merge's choice ``W1 < W0`` (state bit
-    0 is 1 where the odd state is strictly lighter) for a backtrace.
+    A merge drops the top state bit: the upper half of the weights, where
+    the merged row's coefficient is 1, against the lower half.  With
+    ``sels`` given, appends each merge's choice ``W1 < W0`` (the top bit is
+    1 where the upper half's state is strictly lighter) for a backtrace.
     """
     W = np.zeros(1, dtype=wtype)
     offset = 0
@@ -218,9 +225,10 @@ def _sweep(ops, t: int, wtype, sels=None) -> int:
                 W += op[3] != (t >> op[1]) & op[2]
         elif kind == "branch":
             W = W.reshape(-1, 1 << op[2]).repeat(2, axis=0).ravel()
-        else:  # merge: drop state bit 0, keeping 0 on ties
-            W0 = W[0::2]
-            W1 = W[1::2]
+        else:  # merge: drop the top state bit, keeping 0 on ties
+            h = len(W) >> 1
+            W0 = W[:h]
+            W1 = W[h:]
             if sels is not None:
                 sels.append(W1 < W0)
             W = np.minimum(W0, W1)
@@ -258,16 +266,18 @@ class CosetTrellis:
     column needs more than ``state_limit`` states.
 
     State layout: the active rows are kept ordered by the column where
-    they end, rows ending together in reverse start order, and state bit
-    b holds the coefficient of the b-th of them.  So every merge drops
-    bit 0 (a pair of strided slices), and a new row's bit is inserted at
-    its rank.  A column stores one ``uint8`` per state, the parity of the
-    state's rows at each target bit there (bit s for target bit s).  The
-    row is built by doubling over the state bits (``_parity_row``): with
-    v_b the b-th active row's bit (or bit pair) at the column, the states
-    2^b..2^(b+1)-1 read the states below 2^b XORed with v_b, so each
-    state is written once.  The layout permutes storage only: the merge
-    sequence, and with it every tie-break, is that of any other layout.
+    they end, rows ending together in reverse start order, and the first
+    of them holds the top state bit: a row's bit b is the number of active
+    rows after it in that order.  So every merge drops the top bit, the
+    min of the weight array's two contiguous halves, and a new row's bit
+    is inserted at its count.  A column stores one ``uint8`` per state,
+    the parity of the state's rows at each target bit there (bit s for
+    target bit s).  The row is built by doubling over the state bits
+    (``_parity_row``): with v_b the bit (or bit pair) at the column of the
+    row on state bit b, the states 2^b..2^(b+1)-1 read the states below
+    2^b XORed with v_b, so each state is written once.  The layout permutes
+    storage only: the merge sequence, and with it every tie-break, is that
+    of any other layout.
     """
 
     def __init__(self, gens, width: int, fold_shift: int | None = None,
@@ -276,6 +286,19 @@ class CosetTrellis:
         ops = _schedule(gens, width, fold_shift, state_limit)
         self._spread, self.combos, self._wtype = next(ops)
         self.schedule = list(ops)
+        # The backtrace's ops, last first: (state bit, combo mask) for a
+        # branch, (state bit, None) for a merge, which restores the top bit
+        # of the width it merged.
+        self._trace = []
+        bits = 0
+        for op in self.schedule:
+            if op[0] == "branch":
+                bits += 1
+                self._trace.append((op[2], self.combos[op[1]]))
+            elif op[0] == "merge":
+                bits -= 1
+                self._trace.append((bits, None))
+        self._trace.reverse()
 
     # -- queries ----------------------------------------------------------
 
@@ -285,20 +308,16 @@ class CosetTrellis:
         weight = _sweep(self.schedule, _interleave(target, self._spread),
                         self._wtype, sels)
 
-        # Backtrace: a merge restores state bit 0 from its choice, and a
-        # branch reads its row's coefficient from the bit it inserted.
+        # Backtrace: a merge sets the top bit of its width from its choice,
+        # and a branch reads its row's coefficient from the bit it inserted.
         state = 0
         combo = 0
-        si = len(sels)
-        for op in reversed(self.schedule):
-            kind = op[0]
-            if kind == "merge":
-                si -= 1
-                state = (state << 1) | int(sels[si][state])
-            elif kind == "branch":
-                b = op[2]
+        for b, row_combo in self._trace:
+            if row_combo is None:
+                state |= int(sels.pop()[state]) << b
+            else:
                 if (state >> b) & 1:
-                    combo ^= self.combos[op[1]]
+                    combo ^= row_combo
                 state = ((state >> (b + 1)) << b) | (state & ((1 << b) - 1))
         return weight, combo
 

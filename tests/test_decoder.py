@@ -210,7 +210,9 @@ def check_parity_rows(trellis, gens, fold):
     number of state bits.
 
     The state -> row map is rebuilt from the schedule's branch and merge
-    ops, and the trellis's reduced rows from its combos over ``gens``.
+    ops, and the trellis's reduced rows from its combos over ``gens``.  A
+    branch's bit counts from the bottom, and the rows' ends never rise from
+    bit 0 up, so each merge pops the top bit, which must be its row.
     """
     rows = []
     for cmb in trellis.combos:
@@ -219,14 +221,18 @@ def check_parity_rows(trellis, gens, fold):
             if (cmb >> i) & 1:
                 r ^= g
         rows.append(r)
-    bits = []  # state bit -> reduced row
+    # A row's last column: its last bit, or a folded row's last qubit.
+    ends = [(r if fold is None else (r | r >> fold) & ((1 << fold) - 1))
+            .bit_length() for r in rows]
+    bits = []  # state bit -> reduced row, bit 0 first
     peak = 0
     for op in trellis.schedule:
         if op[0] == "branch":
             bits.insert(op[2], op[1])
+            assert all(ends[a] >= ends[b] for a, b in zip(bits, bits[1:]))
             peak = max(peak, len(bits))
         elif op[0] == "merge":
-            assert bits.pop(0) == op[1]
+            assert bits.pop() == op[1]
         else:
             _, shift, pattern, code = op
             # Target bit s of the column: a Hamming column's own bit, or a
@@ -297,7 +303,9 @@ def test_minimal_span_form(problem):
 
 # sha256 over every emit op's (shift, pattern, dtype) and row bytes, in
 # schedule order over the decoder's sectors.  Computed with the earlier
-# per-bit popcount build of the rows: any build must leave them alone.
+# per-bit popcount build of the rows, and with the first-ending row at state
+# bit 0: each row is hashed with its state bits reversed into that order,
+# so the digests pin the parities whatever the layout.
 EMIT_DIGESTS = {
     ("heptagon", "max", 3):  # both CSS sectors
         "6c2576f544fc3ad3f78dfb404b13f0b070affe71a7417598957bac937419e04f",
@@ -313,8 +321,9 @@ def test_trellis_emit_digest(spec):
         for op in trellis.schedule:
             if op[0] == "emit":
                 _, shift, pattern, code = op
+                k = code.size.bit_length() - 1
                 h.update(f"{shift},{pattern},{code.dtype.str}:".encode())
-                h.update(code.tobytes())
+                h.update(code.reshape((2,) * k).T.tobytes())
     assert h.hexdigest() == EMIT_DIGESTS[spec]
 
 
@@ -324,6 +333,7 @@ def test_trellis_emit_digest(spec):
 # change of state layout that silently changes tie-breaks fails here.
 TIE_BREAK_DIGESTS = {
     ("heptagon", "max", 2): "2821a2574d9c7b9a",  # both CSS sectors
+    ("heptagon", "max", 3): "9c1aac19c9ba93d5",
     ("pentagon", "zero", 2): "efec06608bd6df90",  # joint, Pauli weight
     ("pentagon", "zero", 3): "9f15339330125477",
 }
