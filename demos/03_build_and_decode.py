@@ -8,7 +8,7 @@ element of its coset over stabilizers and logicals - here with an exact
 trellis sweep.
 """
 
-from holocode import CodeDecoder, PauliVector, build_code, css_split, run_trials
+from holocode import CodeDecoder, PauliVector, build_code, coset_sectors, run_trials
 
 code = build_code("heptagon", "max", 2)
 print(f"heptagon R=2: [[{code.n},{code.k}]] css={code.css}")
@@ -17,8 +17,9 @@ print("central logical reps:",
       code.logicals[0].x_rep.to_string(), "/",
       code.logicals[0].z_rep.to_string())
 
-sx, sz, (x_reps, z_reps) = css_split(code)
-print(f"X-type checks: {sx.n_rows} x {sx.cols}; Z-type: {sz.n_rows} x {sz.cols}")
+z_errors, x_errors = coset_sectors(code)  # X-type checks see Z errors
+print(f"X-type checks: {len(z_errors.checks)} x {z_errors.width}; "
+      f"Z-type: {len(x_errors.checks)} x {x_errors.width}")
 
 dec = CodeDecoder(code)
 

@@ -19,7 +19,6 @@ from .tiling import TileGraph, build_tiling, counts
 from .builder import (
     HolographicCode,
     build_code,
-    css_split,
     extract_code,
     network_state,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "is_perfect",
     "TileGraph", "build_tiling", "counts",
     "HolographicCode", "build_code", "network_state", "extract_code",
-    "css_split",
     "CodeDecoder", "CosetTrellis", "TrellisLimitError", "coset_sectors",
     "pure_error",
     "DistanceResult", "bit_distance", "word_distance",

@@ -30,18 +30,6 @@ class NotIsometryError(RuntimeError):
     """The contracted network is not an encoding isometry."""
 
 
-class NotCssError(ValueError):
-    """Operation requires a CSS code."""
-
-
-@dataclass
-class NetworkState:
-    """A stabilizer state on a set of named legs during contraction."""
-
-    legs: list  # leg names, e.g. (tile, slot); index = bit position
-    generators: list  # PauliVectors of width len(legs)
-
-
 def _project_pair(gens: list, width: int, a: int, b: int):
     """Project onto the +1 eigenspaces of X_a X_b and Z_a Z_b, in place.
 
@@ -91,7 +79,7 @@ def seed_for_tile(base: SeedCode, kind: str, sides: int) -> SeedCode:
 
 
 def network_state(graph: TileGraph, seed_map: dict,
-                  orientations: dict | None = None) -> NetworkState:
+                  orientations: dict | None = None) -> list:
     """Direct-sum all tile tableaus, then contract every graph edge.
 
     ``seed_map`` maps tile id to a SeedCode whose planar leg count matches
@@ -99,8 +87,8 @@ def network_state(graph: TileGraph, seed_map: dict,
     tile slot j is matched to the seed's planar leg at cyclic position
     rotation + j (or rotation - j when reflected).  Block-perfect seeds
     make every orientation a valid isometry, but the resulting code does
-    depend on the convention.  Returns the state on all remaining open
-    legs (boundary plus bulk), with one generator per open leg.
+    depend on the convention.  Returns the generators of the state on the
+    open legs, boundary legs then bulk legs in the graph's order.
     """
     orientations = orientations or {}
     legs = []
@@ -130,20 +118,11 @@ def network_state(graph: TileGraph, seed_map: dict,
                                 gather_bits(g.z, masks))
                     for g in seed.generators)
 
-    # Contract every edge at full width, then drop dead columns once.
+    # Contract every edge at full width, then keep the open legs once.
     for (ea, eb) in graph.edges:
         _project_pair(gens, width, index[ea], index[eb])
-    dead = set()
-    for (ea, eb) in graph.edges:
-        dead.add(index[ea])
-        dead.add(index[eb])
-    keep = [i for i in range(width) if i not in dead]
-    state = NetworkState(
-        [legs[i] for i in keep], restrict(gens, keep)
-    )
-    if len(state.generators) != len(state.legs):
-        raise AssertionError("generator count != open leg count")
-    return state
+    return restrict(gens, [index[leg] for leg in
+                           list(graph.boundary_legs) + list(graph.bulk_legs)])
 
 
 @dataclass(frozen=True)
@@ -286,9 +265,10 @@ def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):
     return PauliVector(v.n, x, z), True
 
 
-def extract_code(state: NetworkState, graph: TileGraph,
+def extract_code(gens: list, graph: TileGraph,
                  seed_name: str = "") -> HolographicCode:
-    """Read off the boundary code from a fully contracted network state.
+    """Read off the boundary code from the generators ``network_state``
+    returns.
 
     Stabilizers are the generator combinations acting as identity on every
     bulk leg, restricted to the boundary; logical representatives act as a
@@ -298,10 +278,6 @@ def extract_code(state: NetworkState, graph: TileGraph,
     for a CSS code that is the order of two sector eliminations, since the
     reduced form of a block-diagonal matrix is unique.
     """
-    order = list(graph.boundary_legs) + list(graph.bulk_legs)
-    index = {leg: i for i, leg in enumerate(state.legs)}
-    cols = [index[leg] for leg in order]
-    gens = restrict(state.generators, cols)
     n = len(graph.boundary_legs)
     k = len(graph.bulk_legs)
     if len(gens) != n + k:
@@ -360,27 +336,6 @@ def extract_code(state: NetworkState, graph: TileGraph,
     return code
 
 
-def css_split(code: HolographicCode):
-    """(S_X, S_Z, sector logical reps) for a CSS code.
-
-    S_X rows are the x-parts of X-type stabilizers (they detect Z errors);
-    S_Z rows are the z-parts of Z-type stabilizers (they detect X errors).
-    Logical sector reps are returned as (x_rep_vectors, z_rep_vectors).
-    """
-    if not code.css:
-        raise NotCssError("not CSS")
-    sx = Gf2Matrix([s.x for s in code.stabilizers if s.x], code.n)
-    sz = Gf2Matrix([s.z for s in code.stabilizers if s.z], code.n)
-    x_reps = []
-    z_reps = []
-    for lq in code.logicals:
-        if lq.x_rep.z != 0 or lq.z_rep.x != 0:
-            raise NotCssError("logical representatives are not sector-pure")
-        x_reps.append(lq.x_rep.x)
-        z_reps.append(lq.z_rep.z)
-    return sx, sz, (x_reps, z_reps)
-
-
 DEFAULT_SEEDS = {
     ("heptagon", "max"): "steane",
     ("heptagon", "zero"): "steane",
@@ -411,5 +366,5 @@ def build_code(family: str, variant: str, radius: int,
     seed_map = {t.id: seed_for_tile(base, t.kind, t.sides) for t in graph.tiles}
     if orientations is None:
         orientations = ORIENTATIONS.get(seed_name, {})
-    state = network_state(graph, seed_map, orientations)
-    return extract_code(state, graph, seed_name)
+    gens = network_state(graph, seed_map, orientations)
+    return extract_code(gens, graph, seed_name)

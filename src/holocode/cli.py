@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import sys
 
 import numpy as np
@@ -171,30 +172,19 @@ def cmd_verify(args):
 # -- decode -----------------------------------------------------------------
 
 
-def _parse_syndrome(text, bits):
+def _parse_syndrome(text):
+    """0/1 digits, bit 0 first, or 0x hex."""
     text = text.strip()
-    if text.startswith("0x") or text.startswith("0X"):
-        value = int(text, 16)
-    elif set(text) <= {"0", "1"} and len(text) > 1:
-        value = int(text[::-1], 2)  # written left-to-right, bit 0 first
-    else:
-        value = int(text, 0)
-    if value >> bits:
-        raise ValueError(f"syndrome longer than {bits} bits")
-    return value
+    if re.fullmatch("[01]+", text):
+        return int(text[::-1], 2)
+    if re.fullmatch("0[xX][0-9a-fA-F]+", text):
+        return int(text, 16)
+    raise ValueError(f"syndrome {text!r} is neither 0/1 digits nor 0x hex")
 
 
 def cmd_decode(args):
-    code = HolographicCode.load(args.code)
-    dec = CodeDecoder(code)
-    n_checks = code.n - code.k
-    y = _parse_syndrome(args.syndrome, n_checks)
-    if code.css:
-        nx = dec.sx.n_rows
-        syn = (y & ((1 << nx) - 1), y >> nx)
-    else:
-        syn = y
-    corr, _ = dec.decode(syn)
+    dec = CodeDecoder(HolographicCode.load(args.code))
+    corr, _ = dec.decode(dec.split_syndrome(_parse_syndrome(args.syndrome)))
     print(f"correction: {corr.to_string()}")
     print(f"weight: {corr.weight()}")
     return EXIT_OK
@@ -396,7 +386,8 @@ def make_parser():
     p = sub.add_parser("decode", help="decode one syndrome")
     p.add_argument("--code", required=True, help="code file prefix")
     p.add_argument("--syndrome", required=True,
-                   help="binary (left-to-right, X checks first) or hex")
+                   help="bit i is the parity with stabilizer i of the saved "
+                        "code: 0/1 digits, bit 0 first, or 0x hex")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("distance", help="bit/word distances")

@@ -37,11 +37,12 @@ is exact, and the tests check it against this program.
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import Gf2Matrix, PauliVector, gather_bits, parity, right_inverse
-from .builder import HolographicCode, css_split
+from .builder import HolographicCode
 
 
 class TrellisLimitError(ValueError):
@@ -327,24 +328,48 @@ def _pack(p: PauliVector) -> int:
     return p.x | (p.z << p.n)
 
 
-def coset_sectors(code: HolographicCode):
-    """The code's coset problems, one per error sector.
+@dataclass
+class Sector:
+    """One error sector: bits [offset, offset + width) of a Pauli packed
+    x || z, its check rows, and the stabilizer rows and per-qubit logical
+    rows that span its coset.  Pauli weight when ``fold`` is set (x bit q
+    and z bit q + fold count once), else Hamming weight."""
 
-    Each sector is (stabilizer rows, logical rows of each bulk qubit,
-    width, fold_shift).  A CSS code gives the Z-error sector (Z-type
-    stabilizers, Z-bar per qubit) and then the X-error sector (X-type
-    stabilizers, X-bar per qubit), both under Hamming weight.  Any other
-    code gives one sector of x || z vectors under Pauli weight, with X-bar
-    then Z-bar per qubit.  Decoding minimizes over the stabilizers and all
-    logical rows; a distance of qubit i targets its first logical row.
+    name: str  # "z", "x" or "pauli"
+    offset: int
+    width: int
+    fold: int | None
+    checks: list
+    stabilizers: list
+    logicals: list
+
+
+def coset_sectors(code: HolographicCode) -> list:
+    """The code's coset problems, one ``Sector`` per error sector; their
+    checks, in order, are the code's stabilizers.
+
+    A CSS code, X-type stabilizers first, gives the Z-error sector (X-type
+    checks, Z-type stabilizers, Z-bar per qubit), then the X-error sector.
+    Any other code gives one sector, with X-bar then Z-bar per qubit.
+    Decoding minimizes over the stabilizers and all logical rows; a
+    distance of qubit i targets its first logical row.
     """
     n = code.n
-    if code.css:
-        sx, sz, (x_reps, z_reps) = css_split(code)
-        return [(sz.rows, [[r] for r in z_reps], n, None),
-                (sx.rows, [[r] for r in x_reps], n, None)]
-    logicals = [[_pack(lq.x_rep), _pack(lq.z_rep)] for lq in code.logicals]
-    return [([_pack(s) for s in code.stabilizers], logicals, 2 * n, n)]
+    stabs = code.stabilizers
+    if not code.css:
+        # With v packed x || z, parity(v & (s.z || s.x)) is <v, s>.
+        return [Sector("pauli", 0, 2 * n, n, [s.z | (s.x << n) for s in stabs],
+                       [_pack(s) for s in stabs],
+                       [[_pack(lq.x_rep), _pack(lq.z_rep)]
+                        for lq in code.logicals])]
+    if any(lq.x_rep.z or lq.z_rep.x for lq in code.logicals):
+        raise ValueError("logical representatives are not sector-pure")
+    x_type = [s.x for s in stabs if s.x]
+    z_type = [s.z for s in stabs if s.z]
+    return [Sector("z", n, n, None, x_type, z_type,
+                   [[lq.z_rep.z] for lq in code.logicals]),
+            Sector("x", 0, n, None, z_type, x_type,
+                   [[lq.x_rep.x] for lq in code.logicals])]
 
 
 class CodeDecoder:
@@ -357,31 +382,21 @@ class CodeDecoder:
     """
 
     def __init__(self, code: HolographicCode):
-        n = code.n
-        self.n = n
-        sectors = coset_sectors(code)
-        gens = [stabs + [r for rows in logicals for r in rows]
-                for stabs, logicals, _, _ in sectors]
-        # A sector's vectors are bits [lo, lo + width) of a Pauli packed
-        # x || z (a CSS code's Z errors are the z half, X errors the x
-        # half).  With v packed x || z, parity(v & (s.z || s.x)) is <v, s>,
-        # so a sector's checks are the nonzero windows of the stabilizers
-        # packed z || x.
-        swapped = [s.z | (s.x << n) for s in code.stabilizers]
+        self.n = code.n
         self._sectors = []
-        los = [n, 0] if code.css else [0]
-        for g, lo, (_, _, width, fold) in zip(gens, los, sectors):
-            mask = (1 << width) - 1
-            H = Gf2Matrix([r for v in swapped if (r := (v >> lo) & mask)], width)
+        for s in coset_sectors(code):
+            gens = s.stabilizers + [r for rows in s.logicals for r in rows]
+            H = Gf2Matrix(s.checks, s.width)
             self._sectors.append((H, right_inverse(H), CosetTrellis(
-                g, width, fold_shift=fold), g, lo, mask))
+                gens, s.width, fold_shift=s.fold), gens, s))
+        # ``syndrome`` returns, and ``decode`` takes, a pair for a CSS code
+        # and one int otherwise; perfbench reads each sector's gens and ISF.
         self.mode = "css" if code.css else "symplectic"
         if code.css:
-            self.z_gens, self.x_gens = gens
-            (self.sx, self.fx, *_), (self.sz, self.fz, *_) = self._sectors
+            (_, self.fx, _, self.z_gens, _), (_, self.fz, _, self.x_gens, _) \
+                = self._sectors
         else:
-            (self.sym_gens,) = gens
-            ((self.h, self.f, *_),) = self._sectors
+            ((_, self.f, _, self.sym_gens, _),) = self._sectors
         # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
         # as z || x, parity(v & P) is the symplectic product <v, P>.
         self._partners = [(_pack(lq.z_rep), _pack(lq.x_rep))
@@ -389,16 +404,26 @@ class CodeDecoder:
 
     # -- syndromes ---------------------------------------------------------
 
+    def _syndromes(self, err: PauliVector) -> list:
+        w = _pack(err)
+        return [H.mul_vec((w >> s.offset) & ((1 << s.width) - 1))
+                for H, _, _, _, s in self._sectors]
+
     def syndrome(self, err: PauliVector):
         """CSS codes: (x-check syndrome, z-check syndrome); else one vector."""
-        w = _pack(err)
-        ys = tuple(H.mul_vec((w >> lo) & mask)
-                   for H, _, _, _, lo, mask in self._sectors)
-        return ys if self.mode == "css" else ys[0]
+        ys = self._syndromes(err)
+        return tuple(ys) if self.mode == "css" else ys[0]
 
-    def syndrome_is_zero(self, err: PauliVector) -> bool:
-        s = self.syndrome(err)
-        return s == (0, 0) if self.mode == "css" else s == 0
+    def split_syndrome(self, y: int):
+        """A syndrome given as one vector whose bit i is the parity with
+        stabilizer i, in the form ``syndrome`` returns."""
+        ys = []
+        for H, *_ in self._sectors:
+            ys.append(y & ((1 << H.n_rows) - 1))
+            y >>= H.n_rows
+        if y:
+            raise ValueError("syndrome longer than the code's checks")
+        return tuple(ys) if self.mode == "css" else ys[0]
 
     # -- decoding ----------------------------------------------------------
 
@@ -411,11 +436,11 @@ class CodeDecoder:
         """
         ys = syndrome if self.mode == "css" else (syndrome,)
         v = 0
-        for (H, F, trellis, gens, lo, _), y in zip(self._sectors, ys):
+        for (H, F, trellis, gens, s), y in zip(self._sectors, ys):
             e = F.mul_vec(y)
             if H.mul_vec(e) != y:
                 raise AssertionError("pure error does not satisfy the syndrome")
-            v |= self._apply(trellis, gens, e) << lo
+            v |= self._apply(trellis, gens, e) << s.offset
         return PauliVector(self.n, v & ((1 << self.n) - 1), v >> self.n), True
 
     @staticmethod
@@ -440,7 +465,7 @@ class CodeDecoder:
         validates it), so its X-coefficient on qubit i is its symplectic
         product with Z-bar_i and its Z-coefficient that with X-bar_i.
         """
-        if not self.syndrome_is_zero(v):
+        if any(self._syndromes(v)):
             return "detectable"
         w = v.z | (v.x << self.n)
         return ["IXZY"[parity(w & zb) + 2 * parity(w & xb)]

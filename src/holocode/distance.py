@@ -35,7 +35,8 @@ def bit_distance(code: HolographicCode, qubit: int = 0,
 
     For CSS codes the X and Z sectors are solved separately; sector "min"
     reports the smaller of the two.  Non-CSS codes use one joint search
-    over the full symplectic vector under Pauli weight, targeting X-bar.
+    over the full symplectic vector under Pauli weight, targeting X-bar
+    (sector "pauli", also for "min").  Other sectors raise ValueError.
     """
     return _distance(code, qubit, sector, False, "bit")
 
@@ -49,19 +50,21 @@ def word_distance(code: HolographicCode, qubit: int = 0,
 def _distance(code, qubit, sector, with_others, kind):
     if not 0 <= qubit < code.k:
         raise ValueError("qubit index out of range")
-    names = ("z", "x") if code.css else ("pauli",)
-    if sector not in names:
-        sector = "min" if code.css else "pauli"
+    sectors = coset_sectors(code)
+    chosen = [s for s in sectors if sector in (s.name, "min")]
+    if not chosen:
+        raise ValueError(f"sector {sector!r} is not min or one of this "
+                         f"code's sectors: {', '.join(s.name for s in sectors)}")
     weights = []
-    for name, (stabs, logicals, width, fold) in zip(names, coset_sectors(code)):
-        if sector not in (name, "min"):
-            continue
-        rows = list(stabs)
+    for s in chosen:
+        rows = list(s.stabilizers)
         if with_others:
-            rows += [r for j, qubit_rows in enumerate(logicals) if j != qubit
+            rows += [r for j, qubit_rows in enumerate(s.logicals) if j != qubit
                      for r in qubit_rows]
-        weights.append(coset_weight(rows, width, logicals[qubit][0],
-                                    fold_shift=fold))
+        weights.append(coset_weight(rows, s.width, s.logicals[qubit][0],
+                                    fold_shift=s.fold))
+    if len(chosen) == 1:
+        sector = chosen[0].name
     return DistanceResult(qubit, sector, kind, min(weights), True)
 
 

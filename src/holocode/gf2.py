@@ -51,8 +51,9 @@ class PauliVector:
     @classmethod
     def single(cls, n: int, qubit: int, kind: str) -> "PauliVector":
         """A single-qubit X, Y or Z on the given qubit."""
-        p = cls.from_string("I" * qubit + kind + "I" * (n - qubit - 1))
-        return p
+        if not 0 <= qubit < n or kind not in ("X", "Y", "Z"):
+            raise ValueError(f"no single-qubit {kind!r} on qubit {qubit} of {n}")
+        return cls.from_string("I" * qubit + kind + "I" * (n - qubit - 1))
 
     def to_string(self) -> str:
         out = []

@@ -391,12 +391,19 @@ def read_curve_csv(path: str) -> FailureCurve:
     curve = FailureCurve(first["family"], first["variant"], int(first["R"]),
                          int(first["n"]), int(first["k"]),
                          int(first["target"]), 0)
+    keys = ("family", "variant", "R", "n", "k", "target")
     for row in rows:
         r = WeightRecord(int(row["a"]), int(row["m"]), int(row["f"]),
                          int(row["timeouts"]))
+        differ = [key for key in keys if row[key] != first[key]]
+        if differ:
+            raise ValueError(f"{path}: row a={r.a} differs from the first row "
+                             f"in {', '.join(differ)}")
         if not (0 <= r.a <= curve.n and r.m >= 1 and 0 <= r.f <= r.m):
             raise ValueError(f"{path}: row a={r.a} m={r.m} f={r.f} is not "
                              f"0 <= a <= n={curve.n}, m >= 1, 0 <= f <= m")
+        if any(q.a == r.a for q in curve.records):
+            raise ValueError(f"{path}: weight a={r.a} appears twice")
         curve.records.append(r)
     curve.records.sort(key=lambda r: r.a)
     return curve

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from holocode.builder import DEFAULT_SEEDS, ORIENTATIONS, build_code, css_split
+from holocode.builder import DEFAULT_SEEDS, ORIENTATIONS, build_code
 from holocode.decoder import CodeDecoder, CosetTrellis, pure_error
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
 from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
@@ -135,25 +135,13 @@ def test_criterion_4_oracle_equivalence():
         fam = "heptagon" if name == "steane" else "pentagon"
         code = build_code(fam, "max", 1, name)
         dec = CodeDecoder(code)
-        if code.css:
-            for gens, checks in ((dec.z_gens, dec.sx), (dec.x_gens, dec.sz)):
-                F = right_inverse(checks)
-                trellis = CosetTrellis(gens, code.n)
-                for _ in range(500):
-                    y = int(rng.integers(0, 1 << checks.n_rows))
-                    e = pure_error(F, y)
-                    prob = DecodeProblem(e, gens, code.n)
-                    got = trellis.minimize(e)[0]
-                    assert got == exhaustive_min(prob)
-                    total += 1
-        else:
-            F = dec.f
-            trellis = CosetTrellis(dec.sym_gens, 2 * code.n, fold_shift=code.n)
-            for _ in range(1000):
-                y = int(rng.integers(0, 1 << dec.h.n_rows))
+        for checks, _, _, gens, s in dec._sectors:
+            F = right_inverse(checks)
+            trellis = CosetTrellis(gens, s.width, fold_shift=s.fold)
+            for _ in range(1000 // len(dec._sectors)):
+                y = int(rng.integers(0, 1 << checks.n_rows))
                 e = pure_error(F, y)
-                prob = DecodeProblem(e, dec.sym_gens, 2 * code.n,
-                                     fold_shift=code.n)
+                prob = DecodeProblem(e, gens, s.width, fold_shift=s.fold)
                 got = trellis.minimize(e)[0]
                 assert got == exhaustive_min(prob)
                 total += 1
@@ -161,7 +149,7 @@ def test_criterion_4_oracle_equivalence():
     # Heptagon R=2 sector problems: exhaustive-equivalent coset-leader BFS.
     code = build_code("heptagon", "max", 2)
     dec = CodeDecoder(code)
-    for gens, checks in ((dec.z_gens, dec.sx), (dec.x_gens, dec.sz)):
+    for checks, _, _, gens, _ in dec._sectors:
         H, dist = _coset_leader_table(gens, code.n)
         F = right_inverse(checks)
         trellis = CosetTrellis(gens, code.n)

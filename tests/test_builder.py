@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from holocode.builder import (
     HolographicCode,
-    NetworkState,
-    NotCssError,
     NotIsometryError,
     _project_pair,
     build_code,
-    css_split,
     extract_code,
     network_state,
     seed_for_tile,
@@ -25,7 +22,6 @@ from holocode.builder import (
 from holocode.gf2 import (
     Gf2Matrix,
     PauliVector,
-    eliminate,
     rank,
     restrict,
     row_combination,
@@ -105,26 +101,26 @@ def test_two_steane_tiles_one_edge():
 def test_single_steane_network_has_table_generators():
     graph = build_tiling("heptagon", 1, "max")
     seed = steane_tensor()
-    state = network_state(graph, {0: seed})
-    assert len(state.generators) == 8
-    assert len(state.legs) == 8
+    gens = network_state(graph, {0: seed})
+    assert len(gens) == 8
+    assert gens[0].n == 8
     # network leg order is planar 1..7 then L; the printed tableau has L
     # between legs 6 and 7
     remapped = []
     for g in seed.generators:
         text = g.to_string()
         remapped.append(P(text[:6] + text[7] + text[6]))
-    assert same_group(state.generators, remapped)
+    assert same_group(gens, remapped)
 
 
 def test_heptagon_r2_network_counts():
     graph = build_tiling("heptagon", 2, "max")
     seed = steane_tensor()
-    state = network_state(graph, {t.id: seed for t in graph.tiles})
+    gens = network_state(graph, {t.id: seed for t in graph.tiles})
     # 8 tiles x 8 legs = 64, minus 2 per contracted edge
-    assert len(state.legs) == 64 - 2 * len(graph.edges)
-    assert len(state.generators) == len(state.legs)
+    assert len(gens) == 64 - 2 * len(graph.edges)
     assert len(graph.boundary_legs) == 42
+    assert len(gens) == gens[0].n == 42 + len(graph.bulk_legs)
 
 
 def test_extract_single_steane_code():
@@ -245,36 +241,12 @@ def test_css_flag_per_family():
     assert not build_code("pentagon", "zero", 2).css
 
 
-def test_css_split_steane_self_dual():
-    code = build_code("heptagon", "max", 1)
-    sx, sz, (x_reps, z_reps) = css_split(code)
-    assert eliminate(sx.rows, sx.cols)[0] == eliminate(sz.rows, sz.cols)[0]
-    assert sx.n_rows == sz.n_rows == 3
-    assert len(x_reps) == len(z_reps) == 1
-
-
-def test_css_split_scf_dimensions():
-    code = build_code("pentagon", "max", 1, "scf")
-    sx, sz, _ = css_split(code)
-    assert (sx.n_rows, sx.cols) == (2, 5)
-    assert (sz.n_rows, sz.cols) == (2, 5)
-
-
-def test_css_split_rejects_five_qubit():
-    code = build_code("pentagon", "max", 1, "five_qubit")
-    with pytest.raises(NotCssError):
-        css_split(code)
-
-
 def test_extract_detects_non_isometry():
     # |0>|0> network: no combination acts as X on the "bulk" leg
     graph = build_tiling("heptagon", 1, "max")
-    state = NetworkState([graph.boundary_legs[0], (0, "L")],
-                         [P("ZI"), P("IZ")])
-    graph2 = build_tiling("heptagon", 1, "max")
-    graph2.boundary_legs = [graph.boundary_legs[0]]
+    graph.boundary_legs = graph.boundary_legs[:1]
     with pytest.raises(NotIsometryError):
-        extract_code(state, graph2)
+        extract_code([P("ZI"), P("IZ")], graph)
 
 
 def test_seed_for_tile_resolution():

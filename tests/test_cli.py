@@ -3,11 +3,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from holocode.builder import HolographicCode
 from holocode.cli import main
 from holocode.decoder import CodeDecoder
+from holocode.gf2 import symplectic_product
+from holocode.sim import sample_fixed_weight_error
+from holocode.tiling import SUPPORTED
 
 
 def run(argv, capsys):
@@ -85,6 +89,45 @@ def test_decode_non_css_code_matches_decoder(tmp_path, capsys):
         assert f"weight: {corr.weight()}" in stdout
 
 
+@pytest.mark.parametrize("family,variant", sorted(SUPPORTED))
+def test_decode_packed_syndrome_matches_decoder(tmp_path, capsys, family,
+                                                variant):
+    # The packed syndrome's bit i is the parity with stabilizer i of the
+    # saved code, whatever the code's sectors.
+    rng = np.random.default_rng(5)
+    for radius in ("1", "2"):
+        out = str(tmp_path / f"code{radius}")
+        run(["build", "--family", family, "--variant", variant, "--radius",
+             radius, "--out", out], capsys)
+        code = HolographicCode.load(out)
+        dec = CodeDecoder(code)
+        for a in (1, 1, 2, 2):
+            err = sample_fixed_weight_error(code.n, a, rng)
+            y = sum(symplectic_product(err, s) << i
+                    for i, s in enumerate(code.stabilizers))
+            rc, stdout, _ = run(["decode", "--code", out, "--syndrome",
+                                 hex(y)], capsys)
+            assert rc == 0
+            corr, _ = dec.decode(dec.syndrome(err))
+            assert f"correction: {corr.to_string()}\n" in stdout
+
+
+def test_decode_syndrome_format(tmp_path, capsys):
+    out = str(tmp_path / "code")
+    run(["build", "--family", "heptagon", "--variant", "max", "--radius", "1",
+         "--out", out], capsys)
+    # 0/1 digits read bit 0 first, so "011" is 0x6.
+    _, want, _ = run(["decode", "--code", out, "--syndrome", "0x6"], capsys)
+    for text in ("011", "0X6", " 011 "):
+        assert run(["decode", "--code", out, "--syndrome", text],
+                   capsys)[1] == want
+    for text in ("12", "0b110", "6", "", "0x", "0x1_0", "0xg", "0x1000000"):
+        rc, stdout, stderr = run(["decode", "--code", out, "--syndrome",
+                                  text], capsys)
+        assert rc == 4, text
+        assert stdout == "" and stderr.startswith("error: "), text
+
+
 def test_decode_mode_flag_is_gone(tmp_path, capsys):
     out = str(tmp_path / "code")
     run(["build", "--family", "heptagon", "--variant", "max", "--radius", "1",
@@ -106,6 +149,14 @@ def test_trellis_state_limit_exits_3(monkeypatch, capsys):
     assert rc == 3
     assert stdout == ""
     assert "above the limit of 4" in err
+
+
+def test_distance_sector_the_code_lacks_is_bad_input(capsys):
+    rc, stdout, stderr = run(["distance", "--family", "pentagon", "--variant",
+                              "zero", "--radius", "1", "--sector", "x"],
+                             capsys)
+    assert rc == 4
+    assert stdout == "" and "sector 'x'" in stderr
 
 
 def test_distance_json(tmp_path, capsys):
@@ -355,6 +406,24 @@ def test_threshold_one_curve_is_bad_input(tmp_path, capsys):
     assert stdout == "" and "at least two curve files" in stderr
     assert not os.path.exists(out)
     assert not os.path.exists(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["heptagon,max,2,42,8,0,3,10,1,0.1,0.0,0",
+      "heptagon,max,3,42,8,0,4,10,1,0.1,0.0,0"], "differs from the first row in R"),
+    (["heptagon,max,2,42,8,0,3,10,1,0.1,0.0,0",
+      "heptagon,max,2,42,8,0,3,10,2,0.2,0.0,0"], "a=3 appears twice"),
+], ids=["mixed-radius", "repeated-weight"])
+def test_threshold_of_a_mixed_curve_file_is_bad_input(tmp_path, capsys, rows,
+                                                      message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("family,variant,R,n,k,target,a,m,f,P,sigma,timeouts\n"
+                   "heptagon,max,2,42,8,0,0,10,0,0.0,0.0,0\n"
+                   + "\n".join(rows) + "\n")
+    good = _curve_csv(tmp_path / "r1.csv", 1, 7, 5)
+    rc, stdout, stderr = run(["threshold", good, str(bad)], capsys)
+    assert rc == 4
+    assert stdout == "" and message in stderr
 
 
 def test_threshold_without_crossing_writes_error_and_record(tmp_path, capsys):

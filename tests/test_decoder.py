@@ -8,16 +8,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holocode.builder import build_code, css_split
+from holocode.builder import build_code
 from holocode.decoder import (
     CodeDecoder,
     CosetTrellis,
     TrellisLimitError,
     _minimal_span,
+    coset_sectors,
     coset_weight,
     pure_error,
 )
-from holocode.gf2 import Gf2Matrix, PauliVector, rank, right_inverse
+from holocode.gf2 import (
+    Gf2Matrix,
+    PauliVector,
+    eliminate,
+    rank,
+    right_inverse,
+    symplectic_product,
+)
+from holocode.tiling import SUPPORTED
 from oracles import DecodeProblem, branch_and_bound_min, exhaustive_min, milp_min
 
 
@@ -78,12 +87,13 @@ def test_zero_target_any_generators():
 
 def test_steane_z_sector_single_error():
     code = build_code("heptagon", "max", 1)
-    sx, sz, (x_reps, z_reps) = css_split(code)
+    sx = Gf2Matrix([s.x for s in code.stabilizers if s.x], 7)
     f = right_inverse(sx)
     # syndrome of Z on qubit 1 under the X checks
     y = sx.mul_vec(1 << 1)
     e = pure_error(f, y)
-    gens = [s.z for s in code.stabilizers if s.z] + z_reps
+    gens = ([s.z for s in code.stabilizers if s.z]
+            + [lq.z_rep.z for lq in code.logicals])
     prob = DecodeProblem(e, gens, 7)
     w, v = trellis_min(prob)
     assert w == 1
@@ -395,6 +405,65 @@ def test_coset_weight_equals_trellis_minimum(problem):
         == trellis.minimize(problem.target)[0]
 
 
+# -- error sectors -------------------------------------------------------------
+
+
+def test_coset_sectors_steane_self_dual():
+    z, x = coset_sectors(build_code("heptagon", "max", 1))
+    assert (z.name, z.offset, x.name, x.offset) == ("z", 7, "x", 0)
+    assert eliminate(z.checks, 7)[0] == eliminate(x.checks, 7)[0]
+    assert len(z.checks) == len(x.checks) == 3
+    assert len(z.logicals) == len(x.logicals) == 1
+
+
+def test_coset_sectors_scf_dimensions():
+    for s in coset_sectors(build_code("pentagon", "max", 1, "scf")):
+        assert (len(s.checks), len(s.stabilizers), s.width) == (2, 2, 5)
+
+
+def test_coset_sectors_five_qubit_is_one_pauli_sector():
+    code = build_code("pentagon", "max", 1, "five_qubit")
+    [s] = coset_sectors(code)
+    assert (s.name, s.offset, s.width, s.fold) == ("pauli", 0, 10, 5)
+    assert len(s.checks) == len(s.stabilizers) == 4
+    lq = code.logicals[0]  # X-bar then Z-bar, packed x || z
+    assert s.logicals == [[lq.x_rep.x | lq.x_rep.z << 5,
+                           lq.z_rep.x | lq.z_rep.z << 5]]
+
+
+def test_coset_sectors_rejects_impure_logicals():
+    # X-bar times a Z-type stabilizer is still a valid representative of a
+    # CSS code, but no longer lies in one sector.
+    code = build_code("heptagon", "max", 1)
+    z_stab = next(s for s in code.stabilizers if s.x == 0)
+    lq = code.logicals[0]
+    mixed = type(lq)(lq.id, lq.layer, lq.x_rep.mul(z_stab), lq.z_rep)
+    impure = type(code)(code.family, code.variant, code.radius,
+                        code.seed_name, code.n, code.stabilizers, [mixed],
+                        code.css)
+    impure.validate()
+    with pytest.raises(ValueError, match="sector-pure"):
+        coset_sectors(impure)
+
+
+@pytest.mark.parametrize("family,variant", sorted(SUPPORTED))
+def test_packed_syndrome_bits_are_stabilizer_parities(family, variant):
+    # Bit i of the packed syndrome is the parity with stabilizer i of the
+    # saved code, so the sectors' checks, in order, are its stabilizers.
+    rng = random.Random(7)
+    for radius in (1, 2):
+        code = build_code(family, variant, radius)
+        dec = CodeDecoder(code)
+        for _ in range(20):
+            err = PauliVector(code.n, rng.getrandbits(code.n),
+                              rng.getrandbits(code.n))
+            y = sum(symplectic_product(err, s) << i
+                    for i, s in enumerate(code.stabilizers))
+            assert dec.split_syndrome(y) == dec.syndrome(err)
+        with pytest.raises(ValueError, match="longer"):
+            dec.split_syndrome(1 << len(code.stabilizers))
+
+
 # -- decode and logical effects ------------------------------------------------
 
 
@@ -491,7 +560,7 @@ def test_decode_syndrome_preserved_on_random_errors():
         corr, cert = dec.decode(syn)
         assert cert
         assert dec.syndrome(corr) == syn
-        assert dec.syndrome_is_zero(err.mul(corr))
+        assert dec.syndrome(err.mul(corr)) == (0, 0)
 
 
 def test_trellis_and_search_decoders_agree_on_weights():

@@ -44,8 +44,9 @@ def test_non_css_distance_is_the_same_for_every_logical_class(radius, expected):
     # both the stabilizer span.
     code = build_code("pentagon", "zero", radius)
     assert code.k == 1
-    [(stabs, [(xbar, zbar)], width, fold)] = coset_sectors(code)
-    trellis = CosetTrellis(stabs, width, fold_shift=fold)
+    [s] = coset_sectors(code)
+    [(xbar, zbar)] = s.logicals
+    trellis = CosetTrellis(s.stabilizers, s.width, fold_shift=s.fold)
     for target in (xbar, zbar, xbar ^ zbar):
         assert trellis.minimize(target)[0] == expected
     assert bit_distance(code, 0).value == word_distance(code, 0).value == expected
@@ -148,6 +149,19 @@ def test_sector_argument_validation():
     code = build_code("heptagon", "max", 1)
     with pytest.raises(ValueError):
         bit_distance(code, 5)
+    with pytest.raises(ValueError, match="bogus"):
+        bit_distance(code, 0, sector="bogus")
+    with pytest.raises(ValueError, match="pauli"):
+        bit_distance(code, 0, sector="pauli")
+    assert bit_distance(code, 0).sector == "min"
+    assert word_distance(code, 0, sector="x").sector == "x"
+    # A non-CSS code has the one joint sector, which "min" names.
+    zero = build_code("pentagon", "zero", 1)
+    for kind in (bit_distance, word_distance):
+        assert kind(zero, 0).sector == "pauli"
+        assert kind(zero, 0, sector="pauli").sector == "pauli"
+        with pytest.raises(ValueError, match="sectors: pauli"):
+            kind(zero, 0, sector="x")
 
 
 def test_fit_exact_power_law():

@@ -106,6 +106,15 @@ def test_pauli_weights_and_strings():
     assert P("XX").mul(P("XZ")).to_string() == "IY"
 
 
+def test_single_qubit_pauli():
+    assert PauliVector.single(5, 2, "Y").to_string() == "IIYII"
+    assert PauliVector.single(5, 4, "Z").to_string() == "IIIIZ"
+    for qubit, kind in ((7, "X"), (5, "X"), (-1, "X"), (2, "XY"), (2, "I"),
+                        (2, "x"), (2, "")):
+        with pytest.raises(ValueError):
+            PauliVector.single(5, qubit, kind)
+
+
 def test_rref_identity():
     rows, _, piv = eliminate([1, 2, 4], 3)
     assert rows == [1, 2, 4] and piv == [0, 1, 2]
