@@ -18,8 +18,8 @@ from .gf2 import (
     gather_bits,
     kernel_and_right_inverse,
     parse_tableau,
+    project,
     restrict,
-    swap_in,
     symplectic_gram,
 )
 from .seeds import CATALOG, SeedCode, blank_tile, fixed_tile, symplectic_rank
@@ -28,41 +28,6 @@ from .tiling import TileGraph, build_tiling
 
 class NotIsometryError(RuntimeError):
     """The contracted network is not an encoding isometry."""
-
-
-def _project_pair(gens: list, width: int, a: int, b: int):
-    """Project onto the +1 eigenspaces of X_a X_b and Z_a Z_b, in place.
-
-    Afterwards every remaining generator acts as identity on legs a and b;
-    the two rows that held the pair operators are removed.  Columns a, b
-    are left in place (all zero) for the caller to drop.
-    """
-    if a == b:
-        raise ValueError("cannot contract a leg with itself")
-    mask = (1 << a) | (1 << b)
-    m1 = PauliVector(width, mask, 0)  # X_a X_b
-    m2 = PauliVector(width, 0, mask)  # Z_a Z_b
-    # Anticommutation with X_aX_b (Z_aZ_b) only needs the z (x) bits at a, b.
-    anti = [i for i, g in enumerate(gens)
-            if ((g.z >> a) ^ (g.z >> b)) & 1]
-    i1 = swap_in(gens, m1, anti, set())
-    anti = [i for i, g in enumerate(gens)
-            if ((g.x >> a) ^ (g.x >> b)) & 1]
-    i2 = swap_in(gens, m2, anti, {i1})
-    for i, g in enumerate(gens):
-        if i in (i1, i2):
-            continue
-        x, z = g.x, g.z
-        if (x >> a) & 1:
-            x ^= mask
-        if (z >> a) & 1:
-            z ^= mask
-        if (x | z) & mask:
-            raise AssertionError("leg not cleared by pair projection")
-        if x != g.x or z != g.z:
-            gens[i] = PauliVector(width, x, z)
-    for i in sorted((i1, i2), reverse=True):
-        del gens[i]
 
 
 def seed_for_tile(base: SeedCode, kind: str, sides: int) -> SeedCode:
@@ -80,7 +45,9 @@ def seed_for_tile(base: SeedCode, kind: str, sides: int) -> SeedCode:
 
 def network_state(graph: TileGraph, seed_map: dict,
                   orientations: dict | None = None) -> list:
-    """Direct-sum all tile tableaus, then contract every graph edge.
+    """Direct-sum all tile tableaus, then contract every graph edge: one
+    ``project`` of X_a X_b and Z_a Z_b per edge (a, b), then one
+    ``restrict`` to the open legs.
 
     ``seed_map`` maps tile id to a SeedCode whose planar leg count matches
     the tile.  ``orientations`` maps a tile role to (rotation, reflect):
@@ -120,7 +87,9 @@ def network_state(graph: TileGraph, seed_map: dict,
 
     # Contract every edge at full width, then keep the open legs once.
     for (ea, eb) in graph.edges:
-        _project_pair(gens, width, index[ea], index[eb])
+        mask = (1 << index[ea]) | (1 << index[eb])
+        project(gens, [PauliVector(width, mask, 0),   # X_a X_b
+                       PauliVector(width, 0, mask)])  # Z_a Z_b
     return restrict(gens, [index[leg] for leg in
                            list(graph.boundary_legs) + list(graph.bulk_legs)])
 
@@ -176,6 +145,10 @@ class HolographicCode:
                 raise ValueError("logical reps of distinct qubits anticommute")
         if self.css != all(s.x == 0 or s.z == 0 for s in self.stabilizers):
             raise ValueError("css flag inconsistent with stabilizers")
+        # The decoder's syndrome bits follow the stabilizers, X-type first.
+        z_type = [s.x == 0 for s in self.stabilizers]
+        if self.css and z_type != sorted(z_type):
+            raise ValueError("CSS stabilizers must list X-type before Z-type")
 
     # -- persistence ------------------------------------------------------
 

@@ -256,7 +256,14 @@ def _threshold_fields(curves):
 def cmd_threshold(args):
     if len(args.results) < 2:
         raise ValueError("threshold needs at least two curve files")
-    out = _threshold_fields([read_curve_csv(p) for p in args.results])
+    curves = [read_curve_csv(p) for p in args.results]
+    for key in ("family", "variant", "target"):
+        if len({getattr(c, key) for c in curves}) > 1:
+            raise ValueError(f"threshold curves differ in {key}")
+    radii = sorted(c.radius for c in curves)
+    if len(set(radii)) < len(radii):
+        raise ValueError(f"threshold curves repeat a radius: {radii}")
+    out = _threshold_fields(curves)
     print(_write_json(args.out, out))
     return EXIT_INVARIANT if "error" in out else EXIT_OK
 

@@ -291,37 +291,48 @@ def row_combination(rows: list, cols: int, v: int):
     return None if v else c
 
 
-def swap_in(gens: list, m: PauliVector, anti: list, forbidden: set) -> int:
-    """Make the Pauli m one of the generators ``gens`` (in place) and
-    return its row.
+def project(gens: list, ops: list) -> None:
+    """Measure the commuting Paulis ``ops`` on the stabilizer state
+    ``gens`` and drop their rows, in place: no generator is left acting on
+    the ops' legs, whose all-zero columns the caller removes.
 
-    ``anti`` lists the rows that anticommute with m.  When one of them is
-    outside ``forbidden`` this is the standard measurement update: the
-    first such row becomes m and the others are multiplied by it.  When
-    none is, m already lies in the group; its decomposition over the
-    generators picks the highest participating row outside ``forbidden``
-    to be replaced by m.
+    One scan finds the rows that touch the legs; no other row changes.
+    Each op replaces the first touching row that anticommutes with it, and
+    the others are multiplied by that row (the Aaronson-Gottesman update);
+    an op already in the group replaces the highest touching row of its
+    decomposition.  Every other touching row is then multiplied by each op
+    that holds the row's Pauli type at the op's lowest leg.
     """
-    anti = [i for i in anti if i not in forbidden]
-    if anti:
-        first = anti[0]
-        g0 = gens[first]
-        for i in anti[1:]:
-            gens[i] = gens[i].mul(g0)
-        gens[first] = m
-        return first
-    width = m.n
-    rows = [g.x | (g.z << width) for g in gens]
-    combo = row_combination(rows, 2 * width, m.x | (m.z << width))
-    if combo is None:
-        raise AssertionError("operator neither anticommutes nor decomposes")
-    while combo:
-        i = combo.bit_length() - 1
-        if i not in forbidden:
-            gens[i] = m
-            return i
-        combo ^= 1 << i
-    raise AssertionError("no replaceable generator for measurement")
+    legs = 0
+    for m in ops:
+        legs |= m.x | m.z
+    touch = [i for i, g in enumerate(gens) if (g.x | g.z) & legs]
+    placed = []
+    for m in ops:
+        free = [i for i in touch if i not in placed]
+        rows = [i for i in free if symplectic_product(m, gens[i])]
+        if not rows:  # m is in the group: a row of its decomposition goes
+            vecs = [g.x | (g.z << m.n) for g in gens]
+            combo = row_combination(vecs, 2 * m.n, m.x | (m.z << m.n)) or 0
+            rows = [i for i in free if (combo >> i) & 1][-1:]
+            if not rows:
+                raise AssertionError("op neither anticommutes nor decomposes")
+        for i in rows[1:]:
+            gens[i] = gens[i].mul(gens[rows[0]])
+        gens[rows[0]] = m
+        placed.append(rows[0])
+    for i in touch:
+        if i not in placed:
+            g = gens[i]
+            for m in ops:
+                low = (m.x | m.z) & -(m.x | m.z)
+                if (g.x if m.x & low else g.z) & low:
+                    g = g.mul(m)
+            if (g.x | g.z) & legs:
+                raise AssertionError("legs not cleared by projection")
+            gens[i] = g
+    for i in sorted(placed, reverse=True):
+        del gens[i]
 
 
 def parse_tableau(text: str) -> list[PauliVector]:

@@ -15,11 +15,10 @@ from itertools import combinations
 from .gf2 import (
     Gf2Matrix,
     PauliVector,
+    project,
     rank,
     restrict,
-    swap_in,
     symplectic_gram,
-    symplectic_product,
 )
 
 
@@ -166,24 +165,18 @@ def blank_tile(seed: SeedCode) -> SeedCode:
 
 
 def fixed_tile(seed: SeedCode) -> SeedCode:
-    """Project every bulk leg onto the +1 eigenspace of Z and drop the leg.
+    """Project every bulk leg onto the +1 eigenspace of Z and drop the leg:
+    one ``project`` of the bulk legs' Z operators, then a ``restrict`` to
+    the planar legs.
 
     The result is the [[n, 0]] state of the seed's logical-zero codeword:
     the tile shape stays an n-gon, with no bulk input.  Used by zero-rate
     tilings where interior tiles carry no logical qubit.
     """
     gens = list(seed.generators)
-    m = seed.total_legs
-    keep = [i for i, b in enumerate(seed.bulk) if not b]
-    for pos in seed.bulk_positions:
-        meas = PauliVector.single(m, pos, "Z")
-        anti = [i for i, g in enumerate(gens) if symplectic_product(meas, g)]
-        first = swap_in(gens, meas, anti, set())
-        # Clear the measured column from every other generator.
-        for i, g in enumerate(gens):
-            if i != first and ((g.z >> pos) & 1):
-                gens[i] = g.mul(meas)
-        del gens[first]
+    project(gens, [PauliVector.single(seed.total_legs, pos, "Z")
+                   for pos in seed.bulk_positions])
+    keep = seed.planar_positions
     out = restrict(gens, keep)
     seed_out = SeedCode(
         seed.name + "_fixed",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from holocode.builder import (
     HolographicCode,
     NotIsometryError,
-    _project_pair,
     build_code,
     extract_code,
     network_state,
@@ -22,6 +21,7 @@ from holocode.builder import (
 from holocode.gf2 import (
     Gf2Matrix,
     PauliVector,
+    project,
     rank,
     restrict,
     row_combination,
@@ -52,7 +52,7 @@ def in_group(rows, n, p):
     return row_combination(rows, 2 * n, p.x | (p.z << n)) is not None
 
 
-# -- _project_pair ---------------------------------------------------------
+# -- project ---------------------------------------------------------------
 
 
 def contract(gens, a, b):
@@ -60,7 +60,8 @@ def contract(gens, a, b):
     the two dead columns."""
     gens = list(gens)
     width = gens[0].n
-    _project_pair(gens, width, a, b)
+    mask = (1 << a) | (1 << b)
+    project(gens, [PauliVector(width, mask, 0), PauliVector(width, 0, mask)])
     return restrict(gens, [i for i in range(width) if i not in (a, b)])
 
 

@@ -359,6 +359,29 @@ def test_decode_truncated_tableau_is_bad_input(tmp_path, capsys):
     assert "expected n - k + 2k = 50 rows of 42 Paulis" in stderr
 
 
+def test_decode_css_code_with_z_type_rows_first_is_bad_input(tmp_path,
+                                                            capsys):
+    # Syndrome bit i is stabilizer i only while X-type rows come first:
+    # with the rows swapped, 0x3 (the syndrome of IXIIIII) would decode
+    # to IZIIIII.
+    out = str(tmp_path / "code")
+    run(["build", "--family", "heptagon", "--variant", "max", "--radius", "1",
+         "--out", out], capsys)
+    lines = open(out + ".tab").read().splitlines()
+    assert lines[0] == "# stabilizers"
+    x_type, z_type = lines[1:4], lines[4:7]
+    assert all(set(s) == {"I", "X"} for s in x_type)
+    assert all(set(s) == {"I", "Z"} for s in z_type)
+    with open(out + ".tab", "w") as fh:
+        fh.write("\n".join(lines[:1] + z_type + x_type + lines[7:]) + "\n")
+    with pytest.raises(ValueError, match="X-type before Z-type"):
+        HolographicCode.load(out)
+    rc, stdout, stderr = run(["decode", "--code", out, "--syndrome", "0x3"],
+                             capsys)
+    assert rc == 4
+    assert stdout == "" and "X-type before Z-type" in stderr
+
+
 def test_decode_short_layer_list_is_bad_input(tmp_path, capsys):
     out = str(tmp_path / "code")
     run(["build", "--family", "heptagon", "--variant", "max", "--radius", "2",
@@ -388,11 +411,12 @@ def test_plotdata_rejects_impossible_curve_rows(tmp_path, capsys, a, m, f):
 # -- run records and threshold exit codes --------------------------------------
 
 
-def _curve_csv(path, radius, n, f):
+def _curve_csv(path, radius, n, f, family="heptagon", variant="max",
+               target=0):
     """A curve file of every weight 0..n, each with 10 trials and f failures
-    (0 at weight 0)."""
-    rows = [f"heptagon,max,{radius},{n},1,0,{a},10,{f if a else 0},0.0,0.0,0"
-            for a in range(n + 1)]
+    (0 at weight 0), of k = target + 1 logical qubits."""
+    rows = [f"{family},{variant},{radius},{n},{target + 1},{target},{a},10,"
+            f"{f if a else 0},0.0,0.0,0" for a in range(n + 1)]
     path.write_text("family,variant,R,n,k,target,a,m,f,P,sigma,timeouts\n"
                     + "\n".join(rows) + "\n")
     return str(path)
@@ -424,6 +448,25 @@ def test_threshold_of_a_mixed_curve_file_is_bad_input(tmp_path, capsys, rows,
     rc, stdout, stderr = run(["threshold", good, str(bad)], capsys)
     assert rc == 4
     assert stdout == "" and message in stderr
+
+
+@pytest.mark.parametrize("other, message", [
+    (dict(radius=2, n=25, family="pentagon", variant="zero"),
+     "differ in family"),
+    (dict(radius=2, n=42, variant="zero"), "differ in variant"),
+    (dict(radius=2, n=42, target=1), "differ in target"),
+    (dict(radius=1, n=7), "repeat a radius: [1, 1]"),
+], ids=["family", "variant", "target", "radius"])
+def test_threshold_of_unrelated_curves_is_bad_input(tmp_path, capsys, other,
+                                                    message):
+    first = _curve_csv(tmp_path / "r1.csv", 1, 7, 5)
+    second = _curve_csv(tmp_path / "other.csv", f=1, **other)
+    out = str(tmp_path / "th.json")
+    rc, stdout, stderr = run(["threshold", first, second, "--out", out],
+                             capsys)
+    assert rc == 4
+    assert stdout == "" and message in stderr
+    assert not os.path.exists(out)
 
 
 def test_threshold_without_crossing_writes_error_and_record(tmp_path, capsys):

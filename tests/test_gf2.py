@@ -12,6 +12,7 @@ from holocode.gf2 import (
     eliminate,
     kernel,
     parse_tableau,
+    project,
     rank,
     restrict,
     right_inverse,
@@ -313,6 +314,71 @@ def test_row_combination_matches_brute_force(M, v):
         assert combos == [got]
     else:
         assert got in combos
+
+
+@st.composite
+def projections(draw):
+    """A random stabilizer state on at most 6 legs and the ops of one
+    ``project``: X_aX_b and Z_aZ_b, or a single Z_q.
+
+    The state is Z on every leg put through random H, S and CNOT gates,
+    then random row products.  Few gates leave an op in the group (no
+    gates: Z_q, or Z_aZ_b; H on a and b: X_aX_b), so both measurement
+    branches are drawn.
+    """
+    n = draw(st.integers(1, 6))
+    gens = [PauliVector(n, 0, 1 << q) for q in range(n)]
+    leg = st.integers(0, n - 1)
+    gates = st.tuples(st.sampled_from("HSC"), leg, leg)
+    for gate, q, t in draw(st.lists(gates, max_size=12)):
+        bq, bt = 1 << q, 1 << t
+        for i, g in enumerate(gens):
+            x, z = g.x, g.z
+            if gate == "H":
+                x, z = x & ~bq | z & bq, z & ~bq | x & bq
+            elif gate == "S":
+                z ^= x & bq
+            elif q != t:  # CNOT q -> t
+                x ^= bt if x & bq else 0
+                z ^= bq if z & bt else 0
+            gens[i] = PauliVector(n, x, z)
+    for i, j in draw(st.lists(st.tuples(leg, leg), max_size=6)):
+        if i != j:
+            gens[i] = gens[i].mul(gens[j])
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(leg, min_size=2, max_size=2, unique=True))
+        mask = (1 << a) | (1 << b)
+        return gens, [PauliVector(n, mask, 0), PauliVector(n, 0, mask)]
+    return gens, [PauliVector.single(n, draw(leg), "Z")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(projections())
+def test_project_matches_brute_force(case):
+    """``project`` then ``restrict`` spans what the brute force keeps: the
+    elements of <gens, ops> acting as identity on the ops' legs, restricted
+    to the other legs.  Rows off the legs are left as they were."""
+    gens, ops = case
+    n = gens[0].n
+    legs = 0
+    for m in ops:
+        legs |= m.x | m.z
+    rest = [q for q in range(n) if not (legs >> q) & 1]
+
+    def packed(ps):
+        return [p.x | (p.z << p.n) for p in ps]
+
+    untouched = [g for g in gens if not (g.x | g.z) & legs]
+    kept = [v for v in span(packed(gens + ops))
+            if not (v | (v >> n)) & legs]
+    expect = span(packed(restrict(
+        [PauliVector(n, v & ((1 << n) - 1), v >> n) for v in kept], rest)))
+    out = list(gens)
+    project(out, ops)
+    assert all(not (g.x | g.z) & legs for g in out)
+    assert all(g in out for g in untouched)
+    got = packed(restrict(out, rest))
+    assert len(got) == len(rest) and span(got) == expect
 
 
 def test_tableau_roundtrip():
