@@ -3,7 +3,7 @@ and Monte Carlo threshold estimation."""
 
 __version__ = "0.1.0"
 
-from .gf2 import Gf2Matrix, PauliVector, symplectic_product
+from .gf2 import PauliVector, symplectic_product
 from .seeds import (
     SeedCode,
     blank_tile,
@@ -46,7 +46,7 @@ from .sim import (
 )
 
 __all__ = [
-    "Gf2Matrix", "PauliVector", "symplectic_product",
+    "PauliVector", "symplectic_product",
     "SeedCode", "steane_tensor", "scf_tensor", "five_qubit_tensor",
     "blank_tile", "fixed_tile", "is_isometry", "is_block_perfect",
     "is_perfect",

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .gf2 import (
-    Gf2Matrix,
     PauliVector,
     gather_bits,
     kernel_and_right_inverse,
@@ -21,6 +20,7 @@ from .gf2 import (
     project,
     restrict,
     symplectic_gram,
+    transpose,
 )
 from .seeds import CATALOG, SeedCode, blank_tile, fixed_tile, symplectic_rank
 from .tiling import TileGraph, build_tiling
@@ -209,11 +209,10 @@ def _bulk_combinations(bulk_vecs: list, width: int):
     bulk matrix.
     """
     try:
-        null, F = kernel_and_right_inverse(
-            Gf2Matrix(bulk_vecs, width).transpose())
+        return kernel_and_right_inverse(transpose(bulk_vecs, width),
+                                        len(bulk_vecs))
     except ValueError:
         raise NotIsometryError("missing logical representative") from None
-    return null, F.transpose().rows
 
 
 def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):

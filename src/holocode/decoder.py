@@ -1,14 +1,15 @@
 """Exact most-likely-error decoding.
 
-A syndrome is mapped to a pure error through the inverse syndrome former
-(the GF(2) right inverse of the check matrix); the minimum-weight element
-of the coset spanned by stabilizer and logical generators is then found
-exactly by a Viterbi sweep over a precomputed minimal trellis
-(``CosetTrellis``, the minimal trellis of McEliece, "On the BCJR trellis
-for linear block codes", IEEE Trans. IT 1996).  ``coset_sectors`` turns a
-code into these coset problems, one per error sector; decoding and the
-distances of ``holocode.distance`` read the same sector rows and use the
-same minimizer.  The trellis keeps its state bits ordered by where their
+A syndrome is mapped to a pure error through the inverse syndrome former,
+one pure error per check (the columns of the GF(2) right inverse of the
+check matrix); the minimum-weight element of the coset spanned by
+stabilizer and logical generators is then found exactly by a Viterbi
+sweep over a precomputed minimal trellis (``CosetTrellis``, the minimal
+trellis of McEliece, "On the BCJR trellis for linear block codes", IEEE
+Trans. IT 1996).  ``coset_sectors`` turns a code into these coset
+problems, one per error sector; decoding and the distances of
+``holocode.distance`` read the same sector rows and use the same
+minimizer.  The trellis keeps its state bits ordered by where their
 rows end, the first to end on the top bit, so a sweep is repeats, adds
 and compares of contiguous halves over one weight array, and it stores
 one parity byte per state and column, which the sweep compares with the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Gf2Matrix, PauliVector, gather_bits, parity, right_inverse
+from .gf2 import PauliVector, gather_bits, right_inverse, transpose
 from .builder import HolographicCode
 
 
@@ -55,11 +56,12 @@ def _fold(v: int, fold_shift: int | None) -> int:
     return (v | (v >> fold_shift)) & ((1 << fold_shift) - 1)
 
 
-def pure_error(F: Gf2Matrix, y: int) -> int:
-    """Map a syndrome to a pure error, e = F.y."""
-    if y >> F.cols:
-        raise ValueError("syndrome longer than the ISF accepts")
-    return F.mul_vec(y)
+def pure_error(units: list, y: int) -> int:
+    """Map a syndrome to a pure error: the XOR of ``units[j]``, the pure
+    error of check j, over the set bits j of y."""
+    if y >> len(units):  # a negative y shifts to -1
+        raise ValueError("syndrome outside the ISF's checks")
+    return gather_bits(y, units)
 
 
 def _minimal_span(rows):
@@ -373,8 +375,8 @@ def coset_sectors(code: HolographicCode) -> list:
 
 
 class CodeDecoder:
-    """Per-code decoding context: a check matrix, an ISF and a coset
-    trellis per sector of ``coset_sectors``.
+    """Per-code decoding context: the check columns, the ISF's pure errors
+    and a coset trellis per sector of ``coset_sectors``.
 
     CSS codes decode their Z-error and X-error sectors independently, each
     under Hamming weight; other codes solve one joint problem under Pauli
@@ -383,12 +385,12 @@ class CodeDecoder:
 
     def __init__(self, code: HolographicCode):
         self.n = code.n
-        self._sectors = []
+        self._sectors = []  # (check columns, ISF units, trellis, gens, Sector)
         for s in coset_sectors(code):
             gens = s.stabilizers + [r for rows in s.logicals for r in rows]
-            H = Gf2Matrix(s.checks, s.width)
-            self._sectors.append((H, right_inverse(H), CosetTrellis(
-                gens, s.width, fold_shift=s.fold), gens, s))
+            self._sectors.append((
+                transpose(s.checks, s.width), right_inverse(s.checks, s.width),
+                CosetTrellis(gens, s.width, fold_shift=s.fold), gens, s))
         # ``syndrome`` returns, and ``decode`` takes, a pair for a CSS code
         # and one int otherwise; perfbench reads each sector's gens and ISF.
         self.mode = "css" if code.css else "symplectic"
@@ -397,16 +399,18 @@ class CodeDecoder:
                 = self._sectors
         else:
             ((_, self.f, _, self.sym_gens, _),) = self._sectors
-        # Per logical qubit, Z-bar and X-bar packed as x || z: with v packed
-        # as z || x, parity(v & P) is the symplectic product <v, P>.
-        self._partners = [(_pack(lq.z_rep), _pack(lq.x_rep))
-                          for lq in code.logicals]
+        # Rows Z-bar_i, X-bar_i packed x || z, as columns: with v packed
+        # z || x, the product's bits 2i, 2i + 1 are <v, Z-bar_i>, <v, X-bar_i>.
+        self.k = code.k
+        self._partners = transpose(
+            [_pack(r) for lq in code.logicals for r in (lq.z_rep, lq.x_rep)],
+            2 * self.n)
 
     # -- syndromes ---------------------------------------------------------
 
     def _syndromes(self, err: PauliVector) -> list:
         w = _pack(err)
-        return [H.mul_vec((w >> s.offset) & ((1 << s.width) - 1))
+        return [gather_bits((w >> s.offset) & ((1 << s.width) - 1), H)
                 for H, _, _, _, s in self._sectors]
 
     def syndrome(self, err: PauliVector):
@@ -418,9 +422,9 @@ class CodeDecoder:
         """A syndrome given as one vector whose bit i is the parity with
         stabilizer i, in the form ``syndrome`` returns."""
         ys = []
-        for H, *_ in self._sectors:
-            ys.append(y & ((1 << H.n_rows) - 1))
-            y >>= H.n_rows
+        for _, units, *_ in self._sectors:
+            ys.append(y & ((1 << len(units)) - 1))
+            y >>= len(units)
         if y:
             raise ValueError("syndrome longer than the code's checks")
         return tuple(ys) if self.mode == "css" else ys[0]
@@ -432,13 +436,15 @@ class CodeDecoder:
 
         Takes what ``syndrome`` returns and minimizes each sector's coset
         of its pure error.  The trellis is exact, so the flag is always
-        True; it is kept for callers that record it.
+        True; it is kept for callers that record it.  Raises ValueError for
+        a sector syndrome that is negative or has a bit at or above that
+        sector's check count.
         """
         ys = syndrome if self.mode == "css" else (syndrome,)
         v = 0
-        for (H, F, trellis, gens, s), y in zip(self._sectors, ys):
-            e = F.mul_vec(y)
-            if H.mul_vec(e) != y:
+        for (H, units, trellis, gens, s), y in zip(self._sectors, ys):
+            e = pure_error(units, y)
+            if gather_bits(e, H) != y:
                 raise AssertionError("pure error does not satisfy the syndrome")
             v |= self._apply(trellis, gens, e) << s.offset
         return PauliVector(self.n, v & ((1 << self.n) - 1), v >> self.n), True
@@ -446,11 +452,7 @@ class CodeDecoder:
     @staticmethod
     def _apply(trellis: CosetTrellis, gens, target: int) -> int:
         weight, combo = trellis.minimize(target)
-        v = target
-        while combo:
-            i = combo.bit_length() - 1
-            combo ^= 1 << i
-            v ^= gens[i]
+        v = target ^ gather_bits(combo, gens)
         if _fold(v, trellis.fold_shift).bit_count() != weight:
             raise AssertionError("trellis weight differs from its correction's")
         return v
@@ -467,6 +469,5 @@ class CodeDecoder:
         """
         if any(self._syndromes(v)):
             return "detectable"
-        w = v.z | (v.x << self.n)
-        return ["IXZY"[parity(w & zb) + 2 * parity(w & xb)]
-                for zb, xb in self._partners]
+        effect = gather_bits(v.z | (v.x << self.n), self._partners)
+        return ["IXZY"[(effect >> 2 * i) & 3] for i in range(self.k)]

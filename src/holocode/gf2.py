@@ -2,17 +2,14 @@
 
 Bit-vectors are plain Python integers (bit ``i`` is qubit/column ``i``), so
 every row operation is a single word-parallel XOR and weights come from
-``int.bit_count()``.  An n-qubit Pauli operator, up to phase, is a pair of
-such vectors: the X-part and the Z-part.
+``int.bit_count()``.  A matrix is either its packed rows and a width, as
+elimination takes it, or its list of columns, as a product takes it:
+``gather_bits(v, columns)`` is M.v, and ``transpose`` turns one form into
+the other.  An n-qubit Pauli operator, up to phase, is a pair of such
+vectors: the X-part and the Z-part.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-def parity(v: int) -> int:
-    return v.bit_count() & 1
 
 
 class PauliVector:
@@ -94,12 +91,26 @@ class PauliVector:
 
 
 def gather_bits(v: int, masks: list) -> int:
-    """XOR of masks[c] over the set bits c of v."""
+    """XOR of masks[c] over the set bits c of v: with ``masks`` the columns
+    of a matrix, its product with v over GF(2)."""
     out = 0
     while v:
         low = v & -v
         out ^= masks[low.bit_length() - 1]
         v ^= low
+    return out
+
+
+def transpose(rows: list, cols: int) -> list[int]:
+    """The columns of the matrix with packed ``rows`` of width ``cols``:
+    bit i of column j is bit j of row i."""
+    out = [0] * cols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
     return out
 
 
@@ -125,7 +136,7 @@ def symplectic_product(a: PauliVector, b: PauliVector) -> int:
     """Symplectic inner product mod 2; 0 iff the two operators commute."""
     if a.n != b.n:
         raise ValueError("length mismatch")
-    return parity(a.x & b.z) ^ parity(a.z & b.x)
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
 
 
 def symplectic_gram(gens) -> list[int]:
@@ -139,38 +150,9 @@ def symplectic_gram(gens) -> list[int]:
     if any(g.n != gens[0].n for g in gens):
         raise ValueError("length mismatch")
     n = gens[0].n if gens else 0
-    xs = Gf2Matrix([g.x for g in gens], n).transpose().rows
-    zs = Gf2Matrix([g.z for g in gens], n).transpose().rows
+    xs = transpose([g.x for g in gens], n)
+    zs = transpose([g.z for g in gens], n)
     return [gather_bits(g.x, zs) ^ gather_bits(g.z, xs) for g in gens]
-
-
-@dataclass
-class Gf2Matrix:
-    """Dense GF(2) matrix with word-packed rows (row-major integers)."""
-
-    rows: list = field(default_factory=list)
-    cols: int = 0
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix-vector product over GF(2); v is a packed column vector."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= parity(r & v) << i
-        return out
-
-    def transpose(self) -> "Gf2Matrix":
-        rows = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                rows[low.bit_length() - 1] |= bit
-                r ^= low
-        return Gf2Matrix(rows, self.n_rows)
 
 
 def eliminate(rows, cols: int, aug=None):
@@ -214,8 +196,8 @@ def eliminate(rows, cols: int, aug=None):
     return rows, aug, pivots
 
 
-def rank(M: Gf2Matrix) -> int:
-    return len(eliminate(M.rows, M.cols)[2])
+def rank(rows: list, cols: int) -> int:
+    return len(eliminate(rows, cols)[2])
 
 
 def _null_basis(rows: list, pivots: list, cols: int) -> list[int]:
@@ -234,48 +216,50 @@ def _null_basis(rows: list, pivots: list, cols: int) -> list[int]:
     return basis
 
 
-def kernel(M: Gf2Matrix) -> list[int]:
-    """Basis of the right null space {x : M.x = 0}, as packed vectors."""
-    rows, _, pivots = eliminate(M.rows, M.cols)
-    return _null_basis(rows, pivots, M.cols)
+def kernel(rows: list, cols: int) -> list[int]:
+    """Basis of the right null space {x : S.x = 0} of the matrix S with
+    packed ``rows`` of width ``cols``, as packed vectors."""
+    reduced, _, pivots = eliminate(rows, cols)
+    return _null_basis(reduced, pivots, cols)
 
 
-def _scatter_inverse(S: Gf2Matrix, aug: list, pivots: list) -> Gf2Matrix:
+def _scatter_inverse(rows: list, cols: int, aug: list, pivots: list) -> list:
     """The right inverse of S from its identity-augmented elimination.
 
-    The augment holds T with T.S in pivot form; column j of F scatters
-    column j of T onto the pivot positions, so it solves S.x = e_j with
-    every free variable 0.
+    The augment holds T with T.S in pivot form; unit j scatters column j
+    of T onto the pivot positions, so it solves S.x = e_j with every free
+    variable 0.  Each unit is checked against S's columns.
     """
-    m = S.n_rows
+    m = len(rows)
     if len(pivots) < m:
         raise ValueError("no right inverse: rows are GF(2)-dependent")
-    rows = [0] * S.cols
+    scattered = [0] * cols
     for a, pc in zip(aug, pivots):
-        rows[pc] = a
-    F = Gf2Matrix(rows, m)
-    for j, col_j in enumerate(F.transpose().rows):
-        if S.mul_vec(col_j) != 1 << j:
+        scattered[pc] = a
+    units = transpose(scattered, m)
+    S = transpose(rows, cols)
+    for j, unit in enumerate(units):
+        if gather_bits(unit, S) != 1 << j:
             raise AssertionError("right_inverse verification failed")
-    return F
+    return units
 
 
-def right_inverse(S: Gf2Matrix) -> Gf2Matrix:
-    """A matrix F with S.F = I, if S has full row rank.
-
-    Column j of F is a vector whose syndrome under S is the j-th unit
-    vector.  Raises ValueError when the rows of S are GF(2)-dependent.
+def right_inverse(rows: list, cols: int) -> list[int]:
+    """One vector per row of the matrix S with packed ``rows`` of width
+    ``cols``: ``units[j]`` solves S.x = e_j, so ``gather_bits(y, units)``
+    solves S.x = y.  Raises ValueError when the rows are GF(2)-dependent.
     """
-    _, aug, pivots = eliminate(S.rows, S.cols,
-                               [1 << i for i in range(S.n_rows)])
-    return _scatter_inverse(S, aug, pivots)
+    _, aug, pivots = eliminate(rows, cols, [1 << i for i in range(len(rows))])
+    return _scatter_inverse(rows, cols, aug, pivots)
 
 
-def kernel_and_right_inverse(S: Gf2Matrix):
-    """``(kernel(S), right_inverse(S))`` from one elimination."""
-    rows, aug, pivots = eliminate(S.rows, S.cols,
-                                  [1 << i for i in range(S.n_rows)])
-    return _null_basis(rows, pivots, S.cols), _scatter_inverse(S, aug, pivots)
+def kernel_and_right_inverse(rows: list, cols: int):
+    """``(kernel(rows, cols), right_inverse(rows, cols))`` from one
+    elimination."""
+    reduced, aug, pivots = eliminate(rows, cols,
+                                     [1 << i for i in range(len(rows))])
+    return (_null_basis(reduced, pivots, cols),
+            _scatter_inverse(rows, cols, aug, pivots))
 
 
 def row_combination(rows: list, cols: int, v: int):

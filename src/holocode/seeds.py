@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gf2 import (
-    Gf2Matrix,
     PauliVector,
     project,
     rank,
@@ -74,7 +73,7 @@ def symplectic_rank(gens) -> int:
         return 0
     m = gens[0].n
     rows = [g.x | (g.z << m) for g in gens]
-    return rank(Gf2Matrix(rows, 2 * m))
+    return rank(rows, 2 * m)
 
 
 def _seed(name, leg_order, bulk_label, rows) -> SeedCode:

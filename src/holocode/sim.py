@@ -62,34 +62,16 @@ class FailureCurve:
     records: list = field(default_factory=list)
 
     def filled_probabilities(self):
-        """P_failure for every a in 0..n.
-
-        Sampled weights are kept as measured (after isotonic smoothing for
-        interpolation anchors); unsampled weights get monotone piecewise
-        linear fill with P(0) = 0 and a flat tail beyond the last sample.
-        Returns (P array, sigma array) of length n + 1.
-        """
-        sampled = sorted(self.records, key=lambda r: r.a)
-        if not sampled:
-            raise ValueError("no records")
-        xs = np.array([r.a for r in sampled], dtype=float)
-        ps = np.array([r.p for r in sampled])
-        ss = np.array([r.sigma for r in sampled])
-        anchor = _isotonic(ps)
-        allx = np.arange(self.n + 1, dtype=float)
-        filled = np.interp(allx, xs, anchor)
-        sig = np.interp(allx, xs, ss)
-        for r in sampled:
-            filled[r.a] = r.p
-            sig[r.a] = r.sigma
-        if xs[0] > 0:
-            filled[: int(xs[0])] = np.linspace(0.0, anchor[0], int(xs[0]) + 1)[:-1]
-        if 0 not in xs:
-            filled[0] = 0.0
-        return filled, sig
+        """P_failure and sigma for every a in 0..n; see ``_fill``."""
+        return _fill(self.records, self.n)
 
     def mixed(self, p: float):
         return binomial_mix(self.records, p, self.n)
+
+    def mixer(self):
+        """``mixed`` as a function of p, with the records filled once."""
+        filled = _fill(self.records, self.n)
+        return lambda p: _mix(filled, p, self.n)
 
 
 def _isotonic(y):
@@ -108,23 +90,53 @@ def _isotonic(y):
     return np.array(out)
 
 
+def _fill(records, n: int):
+    """P_failure for every a in 0..n from the records' tallies.
+
+    Sampled weights are kept as measured (after isotonic smoothing for
+    interpolation anchors); unsampled weights get monotone piecewise
+    linear fill with P(0) = 0 and a flat tail beyond the last sample.
+    Returns (P array, sigma array) of length n + 1.
+    """
+    sampled = sorted(records, key=lambda r: r.a)
+    if not sampled:
+        raise ValueError("no records")
+    xs = np.array([r.a for r in sampled], dtype=float)
+    ps = np.array([r.p for r in sampled])
+    ss = np.array([r.sigma for r in sampled])
+    anchor = _isotonic(ps)
+    allx = np.arange(n + 1, dtype=float)
+    filled = np.interp(allx, xs, anchor)
+    sig = np.interp(allx, xs, ss)
+    for r in sampled:
+        filled[r.a] = r.p
+        sig[r.a] = r.sigma
+    if xs[0] > 0:
+        filled[: int(xs[0])] = np.linspace(0.0, anchor[0], int(xs[0]) + 1)[:-1]
+    if 0 not in xs:
+        filled[0] = 0.0
+    return filled, sig
+
+
+def _mix(filled, p: float, n: int):
+    """(p_failure, sigma) at rate p from ``_fill(records, n)``."""
+    probs, sigmas = filled
+    w = binom.pmf(np.arange(n + 1), n, p)
+    return (float(np.dot(w, probs)),
+            float(math.sqrt(np.dot(w * w, sigmas * sigmas))))
+
+
 def binomial_mix(records, p: float, n: int):
     """Mix fixed-weight failure rates into p_failure(p, n).
 
     Exact weighted sum of P_failure(a, n) with Binomial(n, p) weights;
     missing weights are filled by the curve's monotone interpolation
-    policy.  Returns (p_failure, sigma) with the per-weight uncertainties
-    propagated in quadrature through the same weights.
+    policy (``_fill``).  Returns (p_failure, sigma) with the per-weight
+    uncertainties propagated in quadrature through the same weights.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p outside [0, 1]")
-    curve = FailureCurve("", "", 0, n, 0, 0, 0, records=list(records))
-    probs, sigmas = curve.filled_probabilities()
-    a = np.arange(n + 1)
-    w = binom.pmf(a, n, p)
-    value = float(np.dot(w, probs))
-    sigma = float(math.sqrt(np.dot(w * w, sigmas * sigmas)))
-    return value, sigma
+    return _mix(_fill(records, n), p, n)
 
 
 # -- trial execution -------------------------------------------------------
@@ -310,9 +322,10 @@ def estimate_threshold(curves):
     larger code stops winning): a scan of 200 evenly spaced rates from
     0.005 to 0.5, then 60 bisection steps in the first bracket; a turn from
     negative to positive, as low-count noise below the crossing can give,
-    is not a threshold.  Returns (p_th, (lo, hi), pairs) with the mean
-    crossing and the spread across pairs.  Raises ValueError when no pair
-    of curves crosses.
+    is not a threshold.  Each curve's ``mixer`` gives its mixed values, so
+    its records are filled once per pair.  Returns (p_th, (lo, hi), pairs)
+    with the mean crossing and the spread across pairs.  Raises ValueError
+    when no pair of curves crosses.
     """
     curves = sorted(curves, key=lambda c: c.radius)
     if len(curves) < 2:
@@ -334,8 +347,10 @@ def estimate_threshold(curves):
 
 
 def _crossing(ca, cb):
+    mix_a, mix_b = ca.mixer(), cb.mixer()
+
     def diff(p):
-        return ca.mixed(p)[0] - cb.mixed(p)[0]
+        return mix_a(p)[0] - mix_b(p)[0]
 
     steps = [(p, diff(p)) for p in _SCAN]
     for (p1, v1), (p2, v2) in zip(steps, steps[1:]):

@@ -1,15 +1,25 @@
-"""Reference coset minimizers that the tests compare ``CosetTrellis`` with.
+"""Reference coset minimizers that the tests compare ``CosetTrellis`` with,
+and the row-parity GF(2) product the tests check ``gf2`` results through.
 
-Each returns only the minimum weight of ``problem.target`` plus any
-combination of ``problem.gens`` (a ``DecodeProblem``), with the problem's
-own weight (Hamming, or Pauli weight when ``fold_shift`` is set).  None
-shares code with the trellis.
+Each minimizer returns only the minimum weight of ``problem.target`` plus
+any combination of ``problem.gens`` (a ``DecodeProblem``), with the
+problem's own weight (Hamming, or Pauli weight when ``fold_shift`` is set).
+None shares code with the trellis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+
+def row_parities(rows, v: int) -> int:
+    """The GF(2) product of the matrix with packed ``rows`` and the vector
+    v, one row at a time: bit i is the parity of rows[i] & v."""
+    out = 0
+    for i, r in enumerate(rows):
+        out |= ((r & v).bit_count() & 1) << i
+    return out
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 from holocode.builder import DEFAULT_SEEDS, ORIENTATIONS, build_code
 from holocode.decoder import CodeDecoder, CosetTrellis, pure_error
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
-from holocode.gf2 import Gf2Matrix, PauliVector, right_inverse
+from holocode.gf2 import PauliVector, right_inverse
 from holocode.seeds import (
     CATALOG,
     five_qubit_tensor,
@@ -26,7 +26,7 @@ from holocode.seeds import (
 )
 from holocode.sim import sample_fixed_weight_error, simulate_code, write_curve_csv
 from holocode.tiling import REFERENCE_BOUNDARY_COUNTS, build_tiling, counts
-from oracles import DecodeProblem, exhaustive_min, milp_min
+from oracles import DecodeProblem, exhaustive_min, milp_min, row_parities
 
 
 def report(criterion, text):
@@ -106,10 +106,9 @@ def _coset_leader_table(gens, width):
 
     # vectors orthogonal to every generator: rows of a parity matrix whose
     # kernel is exactly span(gens)
-    checks = gf2_kernel(Gf2Matrix(list(gens), width))
-    H = Gf2Matrix(checks, width)
+    checks = gf2_kernel(list(gens), width)
     r = len(checks)
-    col_syn = np.array([H.mul_vec(1 << j) for j in range(width)],
+    col_syn = np.array([row_parities(checks, 1 << j) for j in range(width)],
                        dtype=np.int64)
     size = 1 << r
     dist = np.full(size, -1, dtype=np.int16)
@@ -123,7 +122,7 @@ def _coset_leader_table(gens, width):
         dist[fresh] = w
         frontier = fresh
     assert np.all(dist >= 0)
-    return H, dist
+    return checks, dist
 
 
 def test_criterion_4_oracle_equivalence():
@@ -135,11 +134,11 @@ def test_criterion_4_oracle_equivalence():
         fam = "heptagon" if name == "steane" else "pentagon"
         code = build_code(fam, "max", 1, name)
         dec = CodeDecoder(code)
-        for checks, _, _, gens, s in dec._sectors:
-            F = right_inverse(checks)
+        for *_, gens, s in dec._sectors:
+            F = right_inverse(s.checks, s.width)
             trellis = CosetTrellis(gens, s.width, fold_shift=s.fold)
             for _ in range(1000 // len(dec._sectors)):
-                y = int(rng.integers(0, 1 << checks.n_rows))
+                y = int(rng.integers(0, 1 << len(s.checks)))
                 e = pure_error(F, y)
                 prob = DecodeProblem(e, gens, s.width, fold_shift=s.fold)
                 got = trellis.minimize(e)[0]
@@ -149,15 +148,15 @@ def test_criterion_4_oracle_equivalence():
     # Heptagon R=2 sector problems: exhaustive-equivalent coset-leader BFS.
     code = build_code("heptagon", "max", 2)
     dec = CodeDecoder(code)
-    for checks, _, _, gens, _ in dec._sectors:
+    for *_, gens, s in dec._sectors:
         H, dist = _coset_leader_table(gens, code.n)
-        F = right_inverse(checks)
+        F = right_inverse(s.checks, s.width)
         trellis = CosetTrellis(gens, code.n)
         for _ in range(500):
-            y = int(rng.integers(0, 1 << checks.n_rows))
+            y = int(rng.integers(0, 1 << len(s.checks)))
             e = pure_error(F, y)
             got = trellis.minimize(e)[0]
-            oracle = int(dist[H.mul_vec(e)])
+            oracle = int(dist[row_parities(H, e)])
             assert got == oracle
             total += 1
     report(4, f"trellis matches exhaustive enumeration on {total} syndromes")

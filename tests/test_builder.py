@@ -19,7 +19,6 @@ from holocode.builder import (
     seed_for_tile,
 )
 from holocode.gf2 import (
-    Gf2Matrix,
     PauliVector,
     project,
     rank,
@@ -41,7 +40,7 @@ def same_group(gens_a, gens_b):
         return True
     n = gens_a[0].n
     rows_a = [g.x | (g.z << n) for g in gens_a]
-    if rank(Gf2Matrix(rows_a, 2 * n)) != len(rows_a):
+    if rank(rows_a, 2 * n) != len(rows_a):
         return False
     return len(gens_a) == len(gens_b) and all(
         in_group(rows_a, n, g) for g in gens_b

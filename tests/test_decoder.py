@@ -19,7 +19,6 @@ from holocode.decoder import (
     pure_error,
 )
 from holocode.gf2 import (
-    Gf2Matrix,
     PauliVector,
     eliminate,
     rank,
@@ -27,12 +26,18 @@ from holocode.gf2 import (
     symplectic_product,
 )
 from holocode.tiling import SUPPORTED
-from oracles import DecodeProblem, branch_and_bound_min, exhaustive_min, milp_min
+from oracles import (
+    DecodeProblem,
+    branch_and_bound_min,
+    exhaustive_min,
+    milp_min,
+    row_parities,
+)
 
 
 def bits(*rows):
-    """Matrix from strings of 0/1, column 0 first."""
-    return Gf2Matrix([int(r[::-1], 2) for r in rows], len(rows[0]))
+    """(packed rows, width) from strings of 0/1, column 0 first."""
+    return [int(r[::-1], 2) for r in rows], len(rows[0])
 
 
 def trellis_min(problem):
@@ -51,30 +56,28 @@ def trellis_min(problem):
 
 
 def test_pure_error_zero_syndrome():
-    s = bits("1100011", "0111001", "0001111")
-    f = right_inverse(s)
+    f = right_inverse(*bits("1100011", "0111001", "0001111"))
     assert pure_error(f, 0) == 0
 
 
 def test_pure_error_satisfies_syndrome():
-    s = bits("1100011", "0111001", "0001111")
-    f = right_inverse(s)
+    rows, cols = bits("1100011", "0111001", "0001111")
+    f = right_inverse(rows, cols)
     for y in range(1, 8):
         e = pure_error(f, y)
-        assert s.mul_vec(e) == y
+        assert row_parities(rows, e) == y
 
 
 def test_pure_error_linearity():
-    s = bits("1100011", "0111001", "0001111")
-    f = right_inverse(s)
+    f = right_inverse(*bits("1100011", "0111001", "0001111"))
     assert pure_error(f, 0b011) == pure_error(f, 0b001) ^ pure_error(f, 0b010)
 
 
 def test_pure_error_dimension_check():
-    s = bits("110", "011")
-    f = right_inverse(s)
-    with pytest.raises(ValueError):
-        pure_error(f, 0b100)
+    f = right_inverse(*bits("110", "011"))
+    for y in (0b100, -1):
+        with pytest.raises(ValueError):
+            pure_error(f, y)
 
 
 # -- the trellis against the oracles -------------------------------------------
@@ -87,10 +90,10 @@ def test_zero_target_any_generators():
 
 def test_steane_z_sector_single_error():
     code = build_code("heptagon", "max", 1)
-    sx = Gf2Matrix([s.x for s in code.stabilizers if s.x], 7)
-    f = right_inverse(sx)
+    sx = [s.x for s in code.stabilizers if s.x]
+    f = right_inverse(sx, 7)
     # syndrome of Z on qubit 1 under the X checks
-    y = sx.mul_vec(1 << 1)
+    y = row_parities(sx, 1 << 1)
     e = pure_error(f, y)
     gens = ([s.z for s in code.stabilizers if s.z]
             + [lq.z_rep.z for lq in code.logicals])
@@ -300,7 +303,7 @@ def test_trellis_parity_rows_against_brute_force(problem):
 def test_minimal_span_form(problem):
     gens, width, _ = problem
     rows, combos = _minimal_span(gens)
-    assert len(rows) == rank(Gf2Matrix(gens, width))
+    assert len(rows) == rank(gens, width)
     assert len({r & -r for r in rows}) == len(rows)  # distinct starts
     assert len({r.bit_length() for r in rows}) == len(rows)  # distinct ends
     for r, c in zip(rows, combos):
@@ -500,6 +503,20 @@ def test_decode_checks_trellis_weight(steane, monkeypatch):
     err = PauliVector.from_string("IZIIIII")
     with pytest.raises(AssertionError, match="trellis weight"):
         dec.decode(dec.syndrome(err))
+
+
+@pytest.mark.parametrize("spec,syndromes", [
+    # CSS: one syndrome per sector, each below 2^(that sector's checks)
+    (("heptagon", "max", 1), [(1 << 3, 0), (0, 1 << 3), (1 << 40, 0),
+                              (-1, 0), (0, -1)]),
+    # joint: one syndrome below 2^(n - k)
+    (("pentagon", "zero", 1), [1 << 4, -1]),
+])
+def test_decode_rejects_out_of_range_syndromes(spec, syndromes):
+    dec = CodeDecoder(build_code(*spec))
+    for y in syndromes:
+        with pytest.raises(ValueError, match="syndrome"):
+            dec.decode(y)
 
 
 def test_five_qubit_all_single_paulis_corrected():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holocode.gf2 import (
-    Gf2Matrix,
     PauliVector,
     eliminate,
+    gather_bits,
     kernel,
     parse_tableau,
     project,
@@ -19,7 +19,9 @@ from holocode.gf2 import (
     row_combination,
     symplectic_gram,
     symplectic_product,
+    transpose,
 )
+from oracles import row_parities
 
 # X-check rows of the single-tile Steane code (bulk column dropped);
 # rank 3 verified by hand elimination: pivots in columns 1, 2, 4.
@@ -31,8 +33,8 @@ def P(s):
 
 
 def bits(*rows):
-    """Matrix from strings of 0/1, column 0 first."""
-    return Gf2Matrix([int(r[::-1], 2) for r in rows], len(rows[0]))
+    """(packed rows, width) from strings of 0/1, column 0 first."""
+    return [int(r[::-1], 2) for r in rows], len(rows[0])
 
 
 def test_symplectic_product_examples():
@@ -127,8 +129,7 @@ def test_rref_zero():
 
 
 def test_rref_steane_x_checks_rank3():
-    m = bits(*STEANE_X_CHECKS)
-    assert eliminate(m.rows, m.cols)[2] == [0, 1, 3]
+    assert eliminate(*bits(*STEANE_X_CHECKS))[2] == [0, 1, 3]
 
 
 def test_rref_idempotent():
@@ -139,29 +140,24 @@ def test_rref_idempotent():
 
 
 def test_right_inverse_identity():
-    m = bits("100", "010", "001")
-    f = right_inverse(m)
-    assert f.rows == [1, 2, 4] and f.cols == 3
+    assert right_inverse(*bits("100", "010", "001")) == [1, 2, 4]
 
 
 def test_right_inverse_small():
-    s = bits("110", "011")
-    f = right_inverse(s)
-    cols = f.transpose().rows
-    assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(s.n_rows)]
+    rows, cols = bits("110", "011")
+    units = right_inverse(rows, cols)
+    assert [row_parities(rows, u) for u in units] == [1, 2]
 
 
 def test_right_inverse_steane():
-    s = bits(*STEANE_X_CHECKS)
-    f = right_inverse(s)
-    cols = f.transpose().rows
-    assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(s.n_rows)]
+    rows, cols = bits(*STEANE_X_CHECKS)
+    units = right_inverse(rows, cols)
+    assert [row_parities(rows, u) for u in units] == [1, 2, 4]
 
 
 def test_right_inverse_dependent_rows():
-    s = bits("11", "11")
     with pytest.raises(ValueError):
-        right_inverse(s)
+        right_inverse(*bits("11", "11"))
 
 
 def test_right_inverse_random_property():
@@ -169,35 +165,33 @@ def test_right_inverse_random_property():
     done = 0
     while done < 30:
         rows = [rng.getrandbits(12) | (1 << rng.randrange(12)) for _ in range(5)]
-        s = Gf2Matrix(rows, 12)
-        if rank(s) < 5:
+        if rank(rows, 12) < 5:
             continue
-        f = right_inverse(s)
-        cols = f.transpose().rows
-        assert [s.mul_vec(c) for c in cols] == [1 << j for j in range(5)]
+        units = right_inverse(rows, 12)
+        assert [row_parities(rows, u) for u in units] == [1 << j for j in range(5)]
         done += 1
 
 
 def test_kernel_examples():
-    assert kernel(bits("10", "01")) == []
-    assert kernel(bits("11")) == [0b11]
-    assert len(kernel(Gf2Matrix([0], 3))) == 3
+    assert kernel(*bits("10", "01")) == []
+    assert kernel(*bits("11")) == [0b11]
+    assert len(kernel([0], 3)) == 3
 
 
 def test_rank_plus_kernel_dimension():
     rng = random.Random(23)
     for _ in range(100):
         cols = rng.randrange(1, 14)
-        m = Gf2Matrix([rng.getrandbits(cols) for _ in range(rng.randrange(1, 10))], cols)
-        assert rank(m) == cols - len(kernel(m))
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 10))]
+        assert rank(rows, cols) == cols - len(kernel(rows, cols))
 
 
 def test_kernel_vectors_annihilate():
     rng = random.Random(29)
     for _ in range(50):
-        m = Gf2Matrix([rng.getrandbits(11) for _ in range(6)], 11)
-        for v in kernel(m):
-            assert m.mul_vec(v) == 0
+        rows = [rng.getrandbits(11) for _ in range(6)]
+        for v in kernel(rows, 11):
+            assert row_parities(rows, v) == 0
 
 
 def test_row_combination_matches_membership():
@@ -232,12 +226,13 @@ def span(vectors) -> set:
     return out
 
 
-def leftmost_column_basis(M: Gf2Matrix) -> list:
+def leftmost_column_basis(M) -> list:
     """Columns taken left to right whenever they leave the span of the
     columns before them."""
+    rows, cols = M
     basis, spanned = [], {0}
-    for j in range(M.cols):
-        col = sum(((r >> j) & 1) << i for i, r in enumerate(M.rows))
+    for j in range(cols):
+        col = sum(((r >> j) & 1) << i for i, r in enumerate(rows))
         if col not in spanned:
             basis.append(j)
             spanned |= {u ^ col for u in spanned}
@@ -259,7 +254,8 @@ def mask_of(cols) -> int:
 
 @st.composite
 def matrices(draw, max_rows=6, max_cols=8):
-    """Small matrices with empty, zero and dependent rows mixed in."""
+    """Small (rows, width) matrices with empty, zero and dependent rows
+    mixed in."""
     cols = draw(st.integers(0, max_cols))
     vec = st.integers(0, (1 << cols) - 1)
     rows = draw(st.lists(vec, max_size=max_rows))
@@ -268,49 +264,61 @@ def matrices(draw, max_rows=6, max_cols=8):
     if len(rows) >= 2 and draw(st.booleans()):
         a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
         rows.append(a ^ b)
-    return Gf2Matrix(draw(st.permutations(rows)), cols)
+    return draw(st.permutations(rows)), cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 255))
+def test_product_over_columns_is_row_parities(M, v):
+    rows, cols = M
+    v &= (1 << cols) - 1
+    assert gather_bits(v, transpose(rows, cols)) == row_parities(rows, v)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_is_brute_force_span_size(M):
-    assert 1 << rank(M) == len(span(M.rows))
-    assert eliminate(M.rows, M.cols)[2] == leftmost_column_basis(M)
+    assert 1 << rank(*M) == len(span(M[0]))
+    assert eliminate(*M)[2] == leftmost_column_basis(M)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_kernel_vector_is_one_free_column_plus_pivots(M):
+    rows, cols = M
     basis = leftmost_column_basis(M)
-    free = [j for j in range(M.cols) if j not in basis]
-    K = kernel(M)
+    free = [j for j in range(cols) if j not in basis]
+    K = kernel(rows, cols)
     assert [v & ~mask_of(basis) for v in K] == [1 << j for j in free]
-    assert span(K) == {x for x in range(1 << M.cols) if M.mul_vec(x) == 0}
+    assert span(K) == {x for x in range(1 << cols)
+                       if row_parities(rows, x) == 0}
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_right_inverse_lives_on_leftmost_column_basis(S):
-    if len(span(S.rows)) < 1 << S.n_rows:
+    rows, cols = S
+    if len(span(rows)) < 1 << len(rows):
         with pytest.raises(ValueError):
-            right_inverse(S)
+            right_inverse(rows, cols)
         return
-    F = right_inverse(S)
-    basis = leftmost_column_basis(S)
-    assert all(F.rows[i] == 0 for i in range(S.cols) if i not in basis)
-    for j, col in enumerate(F.transpose().rows):
-        assert S.mul_vec(col) == 1 << j
+    units = right_inverse(rows, cols)
+    off_basis = ~mask_of(leftmost_column_basis(S))
+    assert all(u & off_basis == 0 for u in units)
+    assert [row_parities(rows, u) for u in units] == \
+        [1 << j for j in range(len(rows))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.integers(0, 255))
 def test_row_combination_matches_brute_force(M, v):
-    v &= (1 << M.cols) - 1
-    combos = [c for c in range(1 << M.n_rows) if xor_of(M.rows, c) == v]
-    got = row_combination(M.rows, M.cols, v)
+    rows, cols = M
+    v &= (1 << cols) - 1
+    combos = [c for c in range(1 << len(rows)) if xor_of(rows, c) == v]
+    got = row_combination(rows, cols, v)
     if not combos:
         assert got is None
-    elif len(span(M.rows)) == 1 << M.n_rows:
+    elif len(span(rows)) == 1 << len(rows):
         assert combos == [got]
     else:
         assert got in combos

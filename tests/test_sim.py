@@ -177,6 +177,9 @@ class _SyntheticCurve(FailureCurve):
     def mixed(self, p):
         return min(1.0, (p / 0.07) ** self.radius), 0.0
 
+    def mixer(self):
+        return self.mixed
+
 
 def test_threshold_synthetic_exact_crossing():
     curves = [_SyntheticCurve("f", "v", R, 40, 1, 0, 0) for R in (2, 3)]
@@ -193,6 +196,9 @@ class _LowNoiseCurve(FailureCurve):
     def mixed(self, p):
         blip = 0.01 if self.radius == 3 and p < 0.012 else 0.0
         return 0.5 * (p / 0.07) ** self.radius + blip, 0.0
+
+    def mixer(self):
+        return self.mixed
 
 
 def test_threshold_ignores_negative_to_positive_turn():
@@ -317,7 +323,9 @@ def test_csv_roundtrip_property(curve):
 def test_mixed_curve_values_in_range():
     code = build_code("pentagon", "max", 1, "scf")
     curve = simulate_code(code, trials_per_weight=50, seed=1, weights="all")
+    mix = curve.mixer()
     for p in np.linspace(0, 1, 7):
         value, sigma = curve.mixed(p)
         assert 0.0 <= value <= 1.0
         assert sigma >= 0.0
+        assert mix(p) == (value, sigma)  # one fill, the same values
