@@ -346,7 +346,7 @@ def _reproduce_fig3(args):
     radii = [int(r) for r in args.radii.split(",")]
     curves = []
     for R in radii:
-        if args.id == "fig3c" and R > 2:
+        if args.id == "fig3c" and R > 3:  # R=4 sums 62.7M states a sweep
             print(f"warning: {fam}/{var} R={R} joint decoding is above desk "
                   "scale; expect long runtimes", file=sys.stderr)
         code = build_code(fam, var, R)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import PauliVector, gather_bits, right_inverse, transpose
+from .gf2 import PauliVector, echelon, gather_bits, right_inverse, transpose
 from .builder import HolographicCode
 
 
@@ -72,29 +72,15 @@ def _minimal_span(rows):
     Returns (rows, combos), where combos[i] is the mask of original rows
     XORed into reduced row i; dependent input rows are dropped.
 
-    One start pass, then one end pass.  The start pass leaves the starts
-    distinct; the end pass then only lowers ends, and it keeps the set of
-    starts, because the XOR of two rows with different starts takes the
-    lower start and is never zero.  So both forms hold after one round.
-
-    This stays outside ``gf2.eliminate``: full elimination clears each
-    pivot column from every other row, which gives a different minimal-span
-    basis.  Trellis states are coefficients over this basis, so the sweep's
-    tie-breaks (the ``W1 < W0`` choice at each merge) would move.
+    ``gf2.echelon`` leaves the starts distinct; the end pass here then
+    only lowers ends, and it keeps the set of starts, because the XOR of
+    two rows with different starts takes the lower start and is never
+    zero.  So both forms hold after one round.  The rows are not reduced
+    further: trellis states are coefficients over this basis, so another
+    minimal-span basis would move the sweep's tie-breaks (the ``W1 < W0``
+    choice at each merge).
     """
-    by_start = {}
-    work = []
-    for i, r in enumerate(rows):
-        cmb = 1 << i
-        while r:
-            j = by_start.get(r & -r)
-            if j is None:
-                by_start[r & -r] = len(work)
-                work.append((r, cmb))
-                break
-            r2, c2 = work[j]
-            r ^= r2
-            cmb ^= c2
+    work = list(zip(*echelon(rows)))
     by_end = {}
     for i in range(len(work)):
         r, cmb = work[i]

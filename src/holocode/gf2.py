@@ -155,86 +155,95 @@ def symplectic_gram(gens) -> list[int]:
     return [gather_bits(g.x, zs) ^ gather_bits(g.z, xs) for g in gens]
 
 
-def eliminate(rows, cols: int, aug=None):
-    """Reduced row elimination over GF(2), carrying an augment along each row.
+def echelon(rows):
+    """The independent rows, inserted in input order by their lowest set
+    bit: a row whose lowest bit is taken is XORed with its owner until its
+    lowest bit is free (it is kept) or it vanishes (it is dropped).
 
-    ``rows`` are packed rows of width ``cols``; ``aug`` is a parallel list
-    of packed vectors to which every row swap and row addition is applied
-    as well (an identity augment records each reduced row as a combination
-    of the input rows; without one, zeros are carried).  Pivot rule:
-    columns in increasing order, and the first row at or below the current
-    rank with that column set becomes the pivot.
-
-    Returns ``(rows, aug, pivots)``: the reduced rows, their augments, and
-    the pivot column of each of the first ``len(pivots)`` rows.  The
-    remaining rows are zero.
+    Returns ``(rows, combos)``: the kept rows, each with a distinct lowest
+    set bit, and for each the mask of input rows XORed into it.  The kept
+    rows span the input rows and number its rank.
     """
-    rows = list(rows)
-    m = len(rows)
-    aug = [0] * m if aug is None else list(aug)
-    pivots = []
-    for col in range(cols):
-        rank_ = len(pivots)
-        if rank_ == m:
-            break
-        bit = 1 << col
-        pivot = None
-        for r in range(rank_, m):
-            if rows[r] & bit:
-                pivot = r
+    by_low = {}
+    kept, combos = [], []
+    for i, r in enumerate(rows):
+        cmb = 1 << i
+        while r:
+            j = by_low.get(r & -r)
+            if j is None:
+                by_low[r & -r] = len(kept)
+                kept.append(r)
+                combos.append(cmb)
                 break
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        aug[rank_], aug[pivot] = aug[pivot], aug[rank_]
-        pr, pa = rows[rank_], aug[rank_]
-        for r in range(m):
-            if r != rank_ and rows[r] & bit:
-                rows[r] ^= pr
-                aug[r] ^= pa
-        pivots.append(col)
-    return rows, aug, pivots
+            r ^= kept[j]
+            cmb ^= combos[j]
+    return kept, combos
 
 
-def rank(rows: list, cols: int) -> int:
-    return len(eliminate(rows, cols)[2])
+def eliminate(rows: list):
+    """Reduced row echelon form over GF(2), from ``echelon``.
+
+    The kept rows are sorted by their lowest set bit, the pivot; then,
+    highest pivot first, each pivot is cleared from the rows above it.
+    The reduced rows and pivots depend only on the row space: pivots are
+    the leftmost column basis.
+
+    Returns ``(rows, combos, pivots)``: the reduced rows, each one's mask
+    of input rows, and the pivot column of each of the first
+    ``len(pivots)`` rows.  One zero row, with combo 0, follows per
+    dependent input row.
+    """
+    kept = sorted(zip(*echelon(rows)), key=lambda rc: rc[0] & -rc[0])
+    out = [r for r, _ in kept]
+    combos = [c for _, c in kept]
+    pivots = [(r & -r).bit_length() - 1 for r in out]
+    at, done = {}, 0  # pivot bit -> reduced row, and the mask of those bits
+    for k in reversed(range(len(out))):
+        hits = out[k] & done
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            out[k] ^= out[at[low]]
+            combos[k] ^= combos[at[low]]
+        at[out[k] & -out[k]] = k
+        done |= out[k] & -out[k]
+    pad = [0] * (len(rows) - len(out))
+    return out + pad, combos + pad, pivots
+
+
+def rank(rows) -> int:
+    return len(echelon(rows)[0])
 
 
 def _null_basis(rows: list, pivots: list, cols: int) -> list[int]:
     """Kernel basis from reduced rows: one vector per free column, that
     column plus the pivot columns whose rows contain it."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = 1 << fc
-        for r, pc in zip(rows, pivots):
-            if (r >> fc) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+    in_rows = transpose(rows, cols)
+    pivot_bits = [1 << pc for pc in pivots]
+    pivot_mask = sum(pivot_bits)
+    return [(1 << c) | gather_bits(in_rows[c], pivot_bits)
+            for c in range(cols) if not (pivot_mask >> c) & 1]
 
 
 def kernel(rows: list, cols: int) -> list[int]:
     """Basis of the right null space {x : S.x = 0} of the matrix S with
     packed ``rows`` of width ``cols``, as packed vectors."""
-    reduced, _, pivots = eliminate(rows, cols)
+    reduced, _, pivots = eliminate(rows)
     return _null_basis(reduced, pivots, cols)
 
 
-def _scatter_inverse(rows: list, cols: int, aug: list, pivots: list) -> list:
-    """The right inverse of S from its identity-augmented elimination.
+def _scatter_inverse(rows: list, cols: int, combos: list, pivots: list) -> list:
+    """The right inverse of S from its elimination.
 
-    The augment holds T with T.S in pivot form; unit j scatters column j
-    of T onto the pivot positions, so it solves S.x = e_j with every free
+    The combos hold T with T.S in pivot form; unit j scatters column j of
+    T onto the pivot positions, so it solves S.x = e_j with every free
     variable 0.  Each unit is checked against S's columns.
     """
     m = len(rows)
     if len(pivots) < m:
         raise ValueError("no right inverse: rows are GF(2)-dependent")
     scattered = [0] * cols
-    for a, pc in zip(aug, pivots):
+    for a, pc in zip(combos, pivots):
         scattered[pc] = a
     units = transpose(scattered, m)
     S = transpose(rows, cols)
@@ -249,30 +258,31 @@ def right_inverse(rows: list, cols: int) -> list[int]:
     ``cols``: ``units[j]`` solves S.x = e_j, so ``gather_bits(y, units)``
     solves S.x = y.  Raises ValueError when the rows are GF(2)-dependent.
     """
-    _, aug, pivots = eliminate(rows, cols, [1 << i for i in range(len(rows))])
-    return _scatter_inverse(rows, cols, aug, pivots)
+    _, combos, pivots = eliminate(rows)
+    return _scatter_inverse(rows, cols, combos, pivots)
 
 
 def kernel_and_right_inverse(rows: list, cols: int):
     """``(kernel(rows, cols), right_inverse(rows, cols))`` from one
     elimination."""
-    reduced, aug, pivots = eliminate(rows, cols,
-                                     [1 << i for i in range(len(rows))])
+    reduced, combos, pivots = eliminate(rows)
     return (_null_basis(reduced, pivots, cols),
-            _scatter_inverse(rows, cols, aug, pivots))
+            _scatter_inverse(rows, cols, combos, pivots))
 
 
-def row_combination(rows: list, cols: int, v: int):
+def row_combination(rows: list, v: int):
     """Mask c with the XOR of rows[i] over the set bits of c equal to v,
-    or None when v is outside the row space."""
-    reduced, aug, pivots = eliminate(rows, cols,
-                                     [1 << i for i in range(len(rows))])
+    or None when v is outside the row space.  v walks down ``echelon``'s
+    rows by its lowest set bit."""
+    by_low = {r & -r: (r, c) for r, c in zip(*echelon(rows))}
     c = 0
-    for r, a, pc in zip(reduced, aug, pivots):
-        if (v >> pc) & 1:
-            v ^= r
-            c ^= a
-    return None if v else c
+    while v:
+        rc = by_low.get(v & -v)
+        if rc is None:
+            return None
+        v ^= rc[0]
+        c ^= rc[1]
+    return c
 
 
 def project(gens: list, ops: list) -> None:
@@ -297,7 +307,7 @@ def project(gens: list, ops: list) -> None:
         rows = [i for i in free if symplectic_product(m, gens[i])]
         if not rows:  # m is in the group: a row of its decomposition goes
             vecs = [g.x | (g.z << m.n) for g in gens]
-            combo = row_combination(vecs, 2 * m.n, m.x | (m.z << m.n)) or 0
+            combo = row_combination(vecs, m.x | (m.z << m.n)) or 0
             rows = [i for i in free if (combo >> i) & 1][-1:]
             if not rows:
                 raise AssertionError("op neither anticommutes nor decomposes")

@@ -68,12 +68,8 @@ class SeedCode:
 
 
 def symplectic_rank(gens) -> int:
-    """Rank of a generator list in its 2m-column (x || z) binary form."""
-    if not gens:
-        return 0
-    m = gens[0].n
-    rows = [g.x | (g.z << m) for g in gens]
-    return rank(rows, 2 * m)
+    """Rank of a generator list in its 2n-column (x || z) binary form."""
+    return rank([g.x | (g.z << g.n) for g in gens])
 
 
 def _seed(name, leg_order, bulk_label, rows) -> SeedCode:

@@ -1,5 +1,6 @@
 """Reference coset minimizers that the tests compare ``CosetTrellis`` with,
-and the row-parity GF(2) product the tests check ``gf2`` results through.
+and the row-parity GF(2) product and column-scan elimination the tests
+check ``gf2`` results against.
 
 Each minimizer returns only the minimum weight of ``problem.target`` plus
 any combination of ``problem.gens`` (a ``DecodeProblem``), with the
@@ -20,6 +21,35 @@ def row_parities(rows, v: int) -> int:
     for i, r in enumerate(rows):
         out |= ((r & v).bit_count() & 1) << i
     return out
+
+
+def column_scan_eliminate(rows, cols: int):
+    """Reduced row elimination by columns, with an identity augment.
+
+    Columns in increasing order; the first row at or below the current
+    rank with that column set becomes the pivot and is cleared from every
+    other row.  Returns ``(rows, combos, pivots)`` as ``gf2.eliminate``
+    does; rows past ``len(pivots)`` are zero, and their combos record the
+    dependencies among the input rows.
+    """
+    rows = list(rows)
+    m = len(rows)
+    combos = [1 << i for i in range(m)]
+    pivots = []
+    for col in range(cols):
+        rank_ = len(pivots)
+        bit = 1 << col
+        pivot = next((r for r in range(rank_, m) if rows[r] & bit), None)
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        combos[rank_], combos[pivot] = combos[pivot], combos[rank_]
+        for r in range(m):
+            if r != rank_ and rows[r] & bit:
+                rows[r] ^= rows[rank_]
+                combos[r] ^= combos[rank_]
+        pivots.append(col)
+    return rows, combos, pivots
 
 
 @dataclass

@@ -40,7 +40,7 @@ def same_group(gens_a, gens_b):
         return True
     n = gens_a[0].n
     rows_a = [g.x | (g.z << n) for g in gens_a]
-    if rank(rows_a, 2 * n) != len(rows_a):
+    if rank(rows_a) != len(rows_a):
         return False
     return len(gens_a) == len(gens_b) and all(
         in_group(rows_a, n, g) for g in gens_b
@@ -48,7 +48,7 @@ def same_group(gens_a, gens_b):
 
 
 def in_group(rows, n, p):
-    return row_combination(rows, 2 * n, p.x | (p.z << n)) is not None
+    return row_combination(rows, p.x | (p.z << n)) is not None
 
 
 # -- project ---------------------------------------------------------------

@@ -283,6 +283,15 @@ def test_reproduce_fig3b_default_radii(tmp_path, capsys):
         assert os.path.exists(os.path.join(outdir, name))
 
 
+def test_reproduce_fig3c_radius_three_is_desk_scale(tmp_path, capsys):
+    outdir = str(tmp_path / "rep3c")
+    _, _, stderr = run(["reproduce", "fig3c", "--radii", "2,3", "--trials",
+                        "1", "--threads", "1", "--out-dir", outdir], capsys)
+    assert stderr == ""
+    for name in ("fig3c_R2.csv", "fig3c_R3.csv"):
+        assert os.path.exists(os.path.join(outdir, name))
+
+
 def test_unknown_subcommand_is_bad_input(capsys):
     assert main(["frobnicate"]) == 4
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from holocode.gf2 import (
     PauliVector,
+    echelon,
     eliminate,
     gather_bits,
     kernel,
@@ -21,7 +22,7 @@ from holocode.gf2 import (
     symplectic_product,
     transpose,
 )
-from oracles import row_parities
+from oracles import column_scan_eliminate, row_parities
 
 # X-check rows of the single-tile Steane code (bulk column dropped);
 # rank 3 verified by hand elimination: pivots in columns 1, 2, 4.
@@ -119,24 +120,24 @@ def test_single_qubit_pauli():
 
 
 def test_rref_identity():
-    rows, _, piv = eliminate([1, 2, 4], 3)
+    rows, _, piv = eliminate([1, 2, 4])
     assert rows == [1, 2, 4] and piv == [0, 1, 2]
 
 
 def test_rref_zero():
-    rows, _, piv = eliminate([0, 0], 4)
+    rows, _, piv = eliminate([0, 0])
     assert piv == [] and rows == [0, 0]
 
 
 def test_rref_steane_x_checks_rank3():
-    assert eliminate(*bits(*STEANE_X_CHECKS))[2] == [0, 1, 3]
+    assert eliminate(bits(*STEANE_X_CHECKS)[0])[2] == [0, 1, 3]
 
 
 def test_rref_idempotent():
     rng = random.Random(5)
     for _ in range(50):
-        R1 = eliminate([rng.getrandbits(9) for _ in range(6)], 9)[0]
-        assert eliminate(R1, 9)[0] == R1
+        R1 = eliminate([rng.getrandbits(9) for _ in range(6)])[0]
+        assert eliminate(R1)[0] == R1
 
 
 def test_right_inverse_identity():
@@ -165,7 +166,7 @@ def test_right_inverse_random_property():
     done = 0
     while done < 30:
         rows = [rng.getrandbits(12) | (1 << rng.randrange(12)) for _ in range(5)]
-        if rank(rows, 12) < 5:
+        if rank(rows) < 5:
             continue
         units = right_inverse(rows, 12)
         assert [row_parities(rows, u) for u in units] == [1 << j for j in range(5)]
@@ -183,7 +184,7 @@ def test_rank_plus_kernel_dimension():
     for _ in range(100):
         cols = rng.randrange(1, 14)
         rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 10))]
-        assert rank(rows, cols) == cols - len(kernel(rows, cols))
+        assert rank(rows) == cols - len(kernel(rows, cols))
 
 
 def test_kernel_vectors_annihilate():
@@ -203,7 +204,7 @@ def test_row_combination_matches_membership():
         for i in range(8):
             if (mask >> i) & 1:
                 v ^= rows[i]
-        combo = row_combination(rows, 16, v)
+        combo = row_combination(rows, v)
         assert combo is not None
         w = 0
         for i in range(8):
@@ -278,8 +279,33 @@ def test_product_over_columns_is_row_parities(M, v):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_is_brute_force_span_size(M):
-    assert 1 << rank(*M) == len(span(M[0]))
-    assert eliminate(*M)[2] == leftmost_column_basis(M)
+    assert 1 << rank(M[0]) == len(span(M[0]))
+    assert eliminate(M[0])[2] == leftmost_column_basis(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_eliminate_matches_column_scan_oracle(M):
+    rows, cols = M
+    got = eliminate(rows)
+    want = column_scan_eliminate(rows, cols)
+    assert got[0] == want[0] and got[2] == want[2]
+    if len(span(rows)) == 1 << len(rows):  # independent: combos are unique
+        assert got[1] == want[1]
+    assert len(got[0]) == len(got[1]) == len(rows)
+    assert [xor_of(rows, c) for c in got[1]] == got[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_echelon_keeps_a_basis_with_distinct_lowest_bits(M):
+    rows, _ = M
+    kept, combos = echelon(rows)
+    lows = [r & -r for r in kept]
+    assert 0 not in lows and len(set(lows)) == len(kept)
+    assert span(kept) == span(rows)
+    assert 1 << len(kept) == len(span(rows))
+    assert [xor_of(rows, c) for c in combos] == kept
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,7 +341,7 @@ def test_row_combination_matches_brute_force(M, v):
     rows, cols = M
     v &= (1 << cols) - 1
     combos = [c for c in range(1 << len(rows)) if xor_of(rows, c) == v]
-    got = row_combination(rows, cols, v)
+    got = row_combination(rows, v)
     if not combos:
         assert got is None
     elif len(span(rows)) == 1 << len(rows):
