@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import (
     PauliVector,
     gather_bits,
@@ -215,26 +217,93 @@ def _bulk_combinations(bulk_vecs: list, width: int):
         raise NotIsometryError("missing logical representative") from None
 
 
-def _reduce_pass(v: PauliVector, rows: list, sups: list, skip: int = -1):
+def _set_bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, ascending."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                        np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
+
+
+def _rows_on(sup: int, cols: list) -> int:
+    """The mask of rows on any qubit of ``sup``: OR of cols[q], q in sup."""
+    out = 0
+    for q in _set_bits(sup):
+        out |= cols[q]
+    return out
+
+
+def _reduce_pass(v: PauliVector, rows: list, sups: list, cols: list,
+                 skip: int = -1):
     """One pass of multiplying v by each row, but row ``skip``, that
-    lowers its Pauli weight.  ``sups[j]`` is row j's support; rows with
-    disjoint support can only grow the weight, so they are skipped without
-    forming the product.  Candidates are weighed on the raw x and z bits.
-    Returns (v, whether it changed)."""
+    lowers its Pauli weight, in ascending row order.  Returns (v, whether
+    it changed).
+
+    ``sups[j]`` is row j's support and ``cols[q]`` the mask of rows on
+    qubit q.  Only rows on v's support are visited: those on it at the
+    start and, after each accepted row j, the rows after j on the qubits
+    j added.  A row r with 2|r & sup| <= |r| is passed over without
+    forming the product, since it cannot lower the weight w: v.r keeps
+    v's factors off r and has r's factor on r - sup, so its weight is at
+    least w - |r & sup| + |r - sup| = w + |r| - 2|r & sup|.  The same
+    test drops rows the support has since moved off.  So the pass accepts
+    exactly the rows a scan of every row would.
+    """
     x, z = v.x, v.z
     sup = x | z
     weight = sup.bit_count()
-    for j, (row, row_sup) in enumerate(zip(rows, sups)):
-        if j == skip or not (sup & row_sup):
-            continue
-        cx, cz = x ^ row.x, z ^ row.z
-        if (cx | cz).bit_count() < weight:
-            x, z = cx, cz
-            sup = x | z
-            weight = sup.bit_count()
+    cand = _rows_on(sup, cols)
+    order = _set_bits(cand)
+    while order:
+        for j in order:
+            row_sup = sups[j]
+            if (j == skip
+                    or 2 * (row_sup & sup).bit_count() <= row_sup.bit_count()):
+                continue
+            row = rows[j]
+            cx, cz = x ^ row.x, z ^ row.z
+            new_sup = cx | cz
+            if new_sup.bit_count() < weight:
+                later = _rows_on(new_sup & ~sup, cols) >> (j + 1) << (j + 1)
+                x, z, sup, weight = cx, cz, new_sup, new_sup.bit_count()
+                if later & ~cand:  # walk on past j with the rows it adds
+                    cand |= later
+                    order = _set_bits(cand >> (j + 1) << (j + 1))
+                    break
+        else:
+            break
     if x == v.x and z == v.z:
         return v, False
     return PauliVector(v.n, x, z), True
+
+
+def _reduce_weights(stabilizers: list, reps: list, n: int) -> list:
+    """Light greedy weight reduction: two ``_reduce_pass`` rounds over the
+    stabilizer basis, in place, each row against all the others; then each
+    representative until a pass changes nothing.  Returns the reduced
+    representatives.  The pass's row index ``cols`` starts as the
+    transpose of the row supports and, when a row is replaced, flips only
+    the qubits where its support changed."""
+    sups = [s.support for s in stabilizers]
+    cols = transpose(sups, n)
+    for _ in range(2):
+        changed = False
+        for i, s in enumerate(stabilizers):
+            s, changed_i = _reduce_pass(s, stabilizers, sups, cols, i)
+            if changed_i:
+                for q in _set_bits(sups[i] ^ s.support):
+                    cols[q] ^= 1 << i
+                stabilizers[i], sups[i] = s, s.support
+                changed = True
+        if not changed:
+            break
+
+    def reduce(rep):
+        changed = True
+        while changed:
+            rep, changed = _reduce_pass(rep, stabilizers, sups, cols)
+        return rep
+
+    return [reduce(rep) for rep in reps]
 
 
 def extract_code(gens: list, graph: TileGraph,
@@ -248,7 +317,11 @@ def extract_code(gens: list, graph: TileGraph,
     elimination of the generators' x || z action on the bulk (2k bits).
     Stabilizers are listed X-type first, each type in elimination order;
     for a CSS code that is the order of two sector eliminations, since the
-    reduced form of a block-diagonal matrix is unique.
+    reduced form of a block-diagonal matrix is unique.  ``_reduce_weights``
+    then lowers their weights greedily; its passes keep a per-qubit index
+    of the stabilizers, ``cols[q]``, and visit only the rows on the
+    operator's support that pass the bound 2|r & sup| > |r|, in the order
+    and with the results of a scan of every row.
     """
     n = len(graph.boundary_legs)
     k = len(graph.bulk_legs)
@@ -273,31 +346,11 @@ def extract_code(gens: list, graph: TileGraph,
         raise NotIsometryError(
             f"{len(stabilizers)} independent stabilizers, expected {n - k}"
         )
-    # Light greedy weight reduction: two passes over the basis, then each
-    # representative until a pass changes nothing.
-    sups = [s.support for s in stabilizers]
-    for _ in range(2):
-        changed = False
-        for i, s in enumerate(stabilizers):
-            s, changed_i = _reduce_pass(s, stabilizers, sups, i)
-            if changed_i:
-                stabilizers[i], sups[i] = s, s.support
-                changed = True
-        if not changed:
-            break
-
-    def reduce(rep):
-        changed = True
-        while changed:
-            rep, changed = _reduce_pass(rep, stabilizers, sups)
-        return rep
-
+    reps = _reduce_weights(stabilizers, [r for xz in logicals for r in xz], n)
     layer = {t.id: t.layer for t in graph.tiles}
-    out_logicals = []
-    for ell, (xr, zr) in enumerate(logicals):
-        tile_id = graph.bulk_legs[ell][0]
-        out_logicals.append(LogicalQubit(ell, layer[tile_id], reduce(xr),
-                                         reduce(zr)))
+    out_logicals = [LogicalQubit(ell, layer[graph.bulk_legs[ell][0]],
+                                 reps[2 * ell], reps[2 * ell + 1])
+                    for ell in range(k)]
 
     css = all(s.x == 0 or s.z == 0 for s in stabilizers)
     code = HolographicCode(

@@ -1,6 +1,7 @@
 """Reference coset minimizers that the tests compare ``CosetTrellis`` with,
-and the row-parity GF(2) product and column-scan elimination the tests
-check ``gf2`` results against.
+the row-parity GF(2) product and column-scan elimination the tests
+check ``gf2`` results against, and the full-scan weight reduction the
+builder's indexed one is checked against.
 
 Each minimizer returns only the minimum weight of ``problem.target`` plus
 any combination of ``problem.gens`` (a ``DecodeProblem``), with the
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+from holocode.gf2 import PauliVector
 
 
 def row_parities(rows, v: int) -> int:
@@ -50,6 +53,61 @@ def column_scan_eliminate(rows, cols: int):
                 combos[r] ^= combos[rank_]
         pivots.append(col)
     return rows, combos, pivots
+
+
+def full_scan_reduce_pass(v: PauliVector, rows: list, sups: list,
+                          skip: int = -1):
+    """One pass of multiplying v by each row, but row ``skip``, that
+    lowers its Pauli weight.  ``sups[j]`` is row j's support; rows with
+    disjoint support can only grow the weight, so they are skipped without
+    forming the product.  Candidates are weighed on the raw x and z bits.
+    Returns (v, whether it changed)."""
+    x, z = v.x, v.z
+    sup = x | z
+    weight = sup.bit_count()
+    for j, (row, row_sup) in enumerate(zip(rows, sups)):
+        if j == skip or not (sup & row_sup):
+            continue
+        cx, cz = x ^ row.x, z ^ row.z
+        if (cx | cz).bit_count() < weight:
+            x, z = cx, cz
+            sup = x | z
+            weight = sup.bit_count()
+    if x == v.x and z == v.z:
+        return v, False
+    return PauliVector(v.n, x, z), True
+
+
+def full_scan_reduce_weights(stabilizers: list, reps: list):
+    """The builder's greedy weight reduction with a scan of every row in
+    each pass: two rounds over the stabilizers, in place, each against
+    all the others, then each representative until a pass changes
+    nothing.  Returns the reduced representatives and the (v, changed)
+    result of every pass, in call order."""
+    passes = []
+
+    def reduce_pass(*args):
+        passes.append(full_scan_reduce_pass(*args))
+        return passes[-1]
+
+    sups = [s.support for s in stabilizers]
+    for _ in range(2):
+        changed = False
+        for i, s in enumerate(stabilizers):
+            s, changed_i = reduce_pass(s, stabilizers, sups, i)
+            if changed_i:
+                stabilizers[i], sups[i] = s, s.support
+                changed = True
+        if not changed:
+            break
+
+    def reduce(rep):
+        changed = True
+        while changed:
+            rep, changed = reduce_pass(rep, stabilizers, sups)
+        return rep
+
+    return [reduce(rep) for rep in reps], passes
 
 
 @dataclass

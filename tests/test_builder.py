@@ -5,11 +5,13 @@ import functools
 import hashlib
 import itertools
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holocode import builder
 from holocode.builder import (
     HolographicCode,
     NotIsometryError,
@@ -28,6 +30,7 @@ from holocode.gf2 import (
 )
 from holocode.seeds import CATALOG, scf_tensor, steane_tensor
 from holocode.tiling import build_tiling
+from oracles import full_scan_reduce_weights
 
 
 def P(s):
@@ -309,6 +312,54 @@ def test_save_load_roundtrip_property(spec, data):
         assert HolographicCode.load(tmp + "/code") == mutated
 
 
+@st.composite
+def reduction_inputs(draw):
+    """Sparse Pauli rows on at most 24 qubits, so supports overlap, and
+    representatives that are a sparse Pauli times a few of the rows."""
+    n = draw(st.integers(1, 24))
+    sparse = st.builds(
+        lambda factors: PauliVector(
+            n, sum(1 << q for q, f in factors.items() if f & 1),
+            sum(1 << q for q, f in factors.items() if f & 2)),
+        st.dictionaries(st.integers(0, n - 1), st.integers(1, 3),
+                        min_size=1, max_size=6))
+    stabs = draw(st.lists(sparse, max_size=20))
+    reps = []
+    for rep in draw(st.lists(sparse, max_size=6)):
+        for i in draw(st.lists(st.integers(0, len(stabs) - 1), max_size=4)
+                      if stabs else st.just([])):
+            rep = rep.mul(stabs[i])
+        reps.append(rep)
+    return n, stabs, reps
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_inputs())
+# A stabilizer pass accepts a row that adds a qubit, and the next row on
+# that qubit is the one right after it.
+@example((8, [P("XXXYIIIX"), P("IIYIIIII"), P("IIIXIIXI"), P("XXZZIIXX")],
+          []))
+def test_indexed_reduction_matches_full_scan(inputs):
+    """Every ``_reduce_pass`` of the indexed reduction returns what the
+    full scan's does, so both end on the same rows."""
+    n, stabs, reps = inputs
+    want_stabs = list(stabs)
+    want_reps, want_passes = full_scan_reduce_weights(want_stabs, reps)
+    passes = []
+
+    def recorded(*args):
+        passes.append(real_pass(*args))
+        return passes[-1]
+
+    real_pass = builder._reduce_pass
+    got_stabs = list(stabs)
+    with mock.patch.object(builder, "_reduce_pass", recorded):
+        got_reps = builder._reduce_weights(got_stabs, reps, n)
+    assert passes == want_passes
+    assert got_stabs == want_stabs
+    assert got_reps == want_reps
+
+
 def test_logical_layers_recorded():
     code = build_code("heptagon", "max", 2)
     assert code.logicals[0].layer == 0
@@ -351,3 +402,20 @@ def test_saved_codes_digest(tmp_path):
             with open(prefix + ext, "rb") as fh:
                 digest.update(fh.read())
     assert digest.hexdigest() == CODES_DIGEST
+
+
+# sha256 over the ``save`` bytes (``.tab`` then ``.json``) of the two
+# supported radius-4 builds that ``DIGEST_CODES`` leaves out, in order.
+R4_BUILDS = [("heptagon", "zero"), ("pentagon", "max")]
+R4_BUILDS_DIGEST = "3d85a6e400e0ac9ca20aaf8d4145c12e09a25b0773bcb8aebbc3ec9f86f9e7f1"
+
+
+def test_r4_builds_digest(tmp_path):
+    prefix = str(tmp_path / "code")
+    digest = hashlib.sha256()
+    for fam, var in R4_BUILDS:
+        build_code(fam, var, 4).save(prefix)
+        for ext in (".tab", ".json"):
+            with open(prefix + ext, "rb") as fh:
+                digest.update(fh.read())
+    assert digest.hexdigest() == R4_BUILDS_DIGEST
