@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, manifests, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -263,6 +264,21 @@ def test_reproduce_table3_small(tmp_path, capsys):
     assert by_key[("pentagon", "zero")]["bit_distance"] == 3
 
 
+# sha256 of ``reproduce table3 --max-radius 4``'s table3.json: every
+# family's central bit and word distances from R=1 to R=4.
+TABLE3_R4_DIGEST = (
+    "1692106ca1a63eac2f210db9812c37c805bd3631d657a73f348f415e75ba672c")
+
+
+def test_reproduce_table3_radius_four_digest(tmp_path, capsys):
+    outdir = str(tmp_path / "rep")
+    rc, _, stderr = run(["reproduce", "table3", "--max-radius", "4",
+                         "--out-dir", outdir], capsys)
+    assert rc == 0 and stderr == ""
+    with open(os.path.join(outdir, "table3.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == TABLE3_R4_DIGEST
+
+
 def test_reproduce_fig5_fits(tmp_path, capsys):
     outdir = str(tmp_path / "rep5")
     rc, stdout, _ = run(["reproduce", "fig5", "--max-radius", "3",
@@ -518,15 +534,21 @@ def test_record_holds_every_argument_but_threads(tmp_path, capsys):
                               "trials"]
 
 
-def test_reproduce_record_replays_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("argv, names", [
+    (["fig3a", "--radii", "1,2", "--trials", "10"],
+     ["fig3a_R1.csv", "fig3a_R2.csv", "fig3a_threshold.json"]),
+    (["table3", "--max-radius", "2"], ["table3.json"]),
+], ids=["fig3a", "table3"])
+def test_reproduce_record_replays_byte_identical(tmp_path, capsys, argv,
+                                                 names):
     first = str(tmp_path / "a")
-    rc, _, _ = run(["reproduce", "fig3a", "--radii", "1,2", "--trials", "10",
-                    "--threads", "1", "--out-dir", first], capsys)
+    rc, _, _ = run(["reproduce", *argv, "--threads", "1", "--out-dir", first],
+                   capsys)
     assert rc in (0, 2)
     second = str(tmp_path / "b")
     rc2, _, _ = run(["--config", os.path.join(first, "manifest.json"),
                      "--out-dir", second], capsys)
     assert rc2 == rc
-    for name in ("fig3a_R1.csv", "fig3a_R2.csv", "fig3a_threshold.json"):
+    for name in names:
         assert (open(os.path.join(first, name)).read()
                 == open(os.path.join(second, name)).read()), name
