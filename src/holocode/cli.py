@@ -109,6 +109,11 @@ def cmd_build(args):
 # -- verify -----------------------------------------------------------------
 
 
+def _valid(obj):
+    obj.validate()
+    return True
+
+
 def _verify_checks(max_radius):
     from .seeds import five_qubit_tensor, scf_tensor, steane_tensor
 
@@ -118,41 +123,24 @@ def _verify_checks(max_radius):
     yield "seed scf not perfect", lambda: not is_perfect(scf_tensor())
     yield "seed five_qubit perfect", lambda: is_perfect(five_qubit_tensor())
     for name, make in CATALOG.items():
-        yield f"seed {name} tableau invariants", _check_validate(make)
+        yield (f"seed {name} tableau invariants",
+               lambda make=make: _valid(make()))
     yield "blank tile scf is [[6,0]]", lambda: (
         blank_tile(scf_tensor()).n == 6 and blank_tile(scf_tensor()).k == 0
     )
     yield "fixed tile scf is [[5,0]]", lambda: (
         fixed_tile(scf_tensor()).n == 5 and fixed_tile(scf_tensor()).k == 0
     )
-
-    def tiling_check(fam, var, R, expect):
-        def run():
-            g = build_tiling(fam, R, var)
-            return counts(g)[0] == expect
-        return run
-
     for (fam, var), ns in REFERENCE_BOUNDARY_COUNTS.items():
         for R, expect in enumerate(ns, start=1):
-            yield f"tiling {fam}/{var} R={R} n={expect}", tiling_check(fam, var, R, expect)
-
-    def code_check(fam, var, R):
-        def run():
-            code = build_code(fam, var, R)
-            code.validate()
-            return True
-        return run
-
+            yield (f"tiling {fam}/{var} R={R} n={expect}",
+                   lambda fam=fam, var=var, R=R, expect=expect:
+                   counts(build_tiling(fam, R, var))[0] == expect)
     for fam, var in sorted(SUPPORTED):
         for R in range(1, max_radius + 1):
-            yield f"code invariants {fam}/{var} R={R}", code_check(fam, var, R)
-
-
-def _check_validate(make):
-    def run():
-        make().validate()
-        return True
-    return run
+            yield (f"code invariants {fam}/{var} R={R}",
+                   lambda fam=fam, var=var, R=R:
+                   _valid(build_code(fam, var, R)))
 
 
 def cmd_verify(args):
@@ -253,6 +241,16 @@ def _threshold_fields(curves):
                       for p in pairs]}
 
 
+def _check_radii(radii, what):
+    """Raise ValueError unless there are radii, all at least 1 and none
+    repeated; ``what`` names them in the message."""
+    radii = sorted(radii)
+    if not radii or radii[0] < 1:
+        raise ValueError(f"{what} need radii of 1 or more, got {radii}")
+    if len(set(radii)) < len(radii):
+        raise ValueError(f"{what} repeat a radius: {radii}")
+
+
 def cmd_threshold(args):
     if len(args.results) < 2:
         raise ValueError("threshold needs at least two curve files")
@@ -260,9 +258,7 @@ def cmd_threshold(args):
     for key in ("family", "variant", "target"):
         if len({getattr(c, key) for c in curves}) > 1:
             raise ValueError(f"threshold curves differ in {key}")
-    radii = sorted(c.radius for c in curves)
-    if len(set(radii)) < len(radii):
-        raise ValueError(f"threshold curves repeat a radius: {radii}")
+    _check_radii([c.radius for c in curves], "threshold curves")
     out = _threshold_fields(curves)
     print(_write_json(args.out, out))
     return EXIT_INVARIANT if "error" in out else EXIT_OK
@@ -282,85 +278,72 @@ def cmd_plotdata(args):
 
 # -- reproduce --------------------------------------------------------------
 
-DESK_SCALE_RADIUS = 4
+# id -> (kind, (family, variant) rows, default --radii, desk radius).  A
+# "curves" recipe simulates each --radii code and finds the crossing; a
+# "table" or "fit" recipe takes central distances from R=1 to --max-radius
+# and writes the rows, or the (n, distance) points and their fitted
+# exponents.  Above its desk radius a recipe warns that it may run long.
+# The reduced-rate R=2 and R=3 curves do not cross, so fig3b pairs the
+# same-parity radii; fig3c at R=4 sums 62.7M states a sweep.
+RECIPES = {
+    "table3": ("table", (("heptagon", "max"), ("pentagon", "reduced"),
+                         ("pentagon", "zero")), None, 4),
+    "fig3a": ("curves", (("heptagon", "max"),), "2,3", None),
+    "fig3b": ("curves", (("pentagon", "reduced"),), "1,3", None),
+    "fig3c": ("curves", (("pentagon", "zero"),), "1,2", 3),
+    "fig5": ("fit", (("heptagon", "max"),), None, 4),
+}
 
 
 def cmd_reproduce(args):
-    args.out_dir = args.out_dir or f"reproduce_{args.id}"
-    os.makedirs(args.out_dir, exist_ok=True)
-    if args.id == "table3":
-        return _reproduce_table3(args)
-    if args.id == "fig5":
-        return _reproduce_fig5(args)
-    return _reproduce_fig3(args)
-
-
-def _distance_rows(families, max_radius):
-    """Central-qubit distance rows of each (family, variant), R = 1 up."""
-    for fam, var in families:
-        for R in range(1, max_radius + 1):
-            if R > DESK_SCALE_RADIUS:
-                print(f"warning: {fam}/{var} R={R} is above desk scale; "
-                      "the trellis may exceed its state limit",
-                      file=sys.stderr)
-            code = build_code(fam, var, R)
-            yield {"family": fam, "variant": var, "R": R, "n": code.n,
-                   "k": code.k, **_distance_fields(code, 0)}
-
-
-def _reproduce_table3(args):
-    rows = []
-    for row in _distance_rows((("heptagon", "max"), ("pentagon", "reduced"),
-                               ("pentagon", "zero")), args.max_radius):
-        print(json.dumps(row, sort_keys=True))
-        rows.append(row)
-    _write_json(os.path.join(args.out_dir, "table3.json"), rows)
-    return EXIT_OK
-
-
-def _reproduce_fig5(args):
-    rows = list(_distance_rows((("heptagon", "max"),), args.max_radius))
-    points_b = [(r["n"], r["bit_distance"]) for r in rows]
-    points_w = [(r["n"], r.get("word_distance", r["bit_distance"]))
-                for r in rows]
-    out = {"bit_points": points_b, "word_points": points_w}
-    for name, points in (("bit", points_b), ("word", points_w)):
-        if len(points) >= 3:
-            exp, ci = fit_distance_scaling(points)
-            out[f"{name}_exponent"] = exp
-            out[f"{name}_ci95"] = list(ci)
-    print(_write_json(os.path.join(args.out_dir, "fig5.json"), out))
-    return EXIT_OK
-
-
-def _reproduce_fig3(args):
-    # Default radii per figure: the reduced-rate R=2 and R=3 curves do
-    # not cross, so fig3b pairs the same-parity radii 1 and 3.
-    fam, var, default_radii = {
-        "fig3a": ("heptagon", "max", "2,3"),
-        "fig3b": ("pentagon", "reduced", "1,3"),
-        "fig3c": ("pentagon", "zero", "1,2"),
-    }[args.id]
+    kind, families, default_radii, desk = RECIPES[args.id]
     if args.radii is None:
         args.radii = default_radii  # so the run record holds the radii
-    radii = [int(r) for r in args.radii.split(",")]
-    curves = []
+    if kind == "curves":
+        radii = [int(r) for r in args.radii.split(",")]
+    else:
+        radii = list(range(1, args.max_radius + 1))
+    _check_radii(radii, f"reproduce {args.id} runs")
     for R in radii:
-        if args.id == "fig3c" and R > 3:  # R=4 sums 62.7M states a sweep
-            print(f"warning: {fam}/{var} R={R} joint decoding is above desk "
-                  "scale; expect long runtimes", file=sys.stderr)
-        code = build_code(fam, var, R)
-        curve = simulate_code(code, target_qubit=0,
-                              trials_per_weight=args.trials, seed=args.seed,
-                              weights="auto", threads=args.threads)
-        path = os.path.join(args.out_dir, f"{args.id}_R{R}.csv")
-        write_curve_csv(curve, path)
-        print(f"wrote {path}")
-        curves.append(curve)
-    out = _threshold_fields(curves) if len(curves) >= 2 else {}
-    print(_write_json(os.path.join(args.out_dir, f"{args.id}_threshold.json"),
-                      out))
-    return EXIT_INVARIANT if "error" in out else EXIT_OK
+        if desk is not None and R > desk:
+            print(f"warning: {args.id} R={R} is above its desk radius "
+                  f"{desk}; expect long runtimes", file=sys.stderr)
+    args.out_dir = args.out_dir or f"reproduce_{args.id}"
+    os.makedirs(args.out_dir, exist_ok=True)
+    rows, curves = [], []
+    for fam, var in families:
+        for R in radii:
+            code = build_code(fam, var, R)
+            if kind == "curves":
+                curves.append(simulate_code(
+                    code, target_qubit=0, trials_per_weight=args.trials,
+                    seed=args.seed, weights="auto", threads=args.threads))
+                path = os.path.join(args.out_dir, f"{args.id}_R{R}.csv")
+                write_curve_csv(curves[-1], path)
+                print(f"wrote {path}")
+                continue
+            rows.append({"family": fam, "variant": var, "R": R, "n": code.n,
+                         "k": code.k, **_distance_fields(code, 0)})
+            if kind == "table":
+                print(json.dumps(rows[-1], sort_keys=True))
+    if kind == "curves":
+        out = _threshold_fields(curves) if len(curves) >= 2 else {}
+        print(_write_json(os.path.join(args.out_dir,
+                                       f"{args.id}_threshold.json"), out))
+        return EXIT_INVARIANT if "error" in out else EXIT_OK
+    path = os.path.join(args.out_dir, f"{args.id}.json")
+    if kind == "table":
+        _write_json(path, rows)
+        return EXIT_OK
+    out = {"bit_points": [(r["n"], r["bit_distance"]) for r in rows],
+           "word_points": [(r["n"], r.get("word_distance", r["bit_distance"]))
+                           for r in rows]}
+    for name in ("bit", "word") if len(rows) >= 3 else ():
+        out[f"{name}_exponent"], ci = fit_distance_scaling(
+            out[f"{name}_points"])
+        out[f"{name}_ci95"] = list(ci)
+    print(_write_json(path, out))
+    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -431,11 +414,12 @@ def make_parser():
     p.set_defaults(func=cmd_plotdata)
 
     p = sub.add_parser("reproduce", help="canned desk-scale pipelines")
-    p.add_argument("id", choices=["table3", "fig3a", "fig3b", "fig3c", "fig5"])
+    p.add_argument("id", choices=list(RECIPES))
     p.add_argument("--max-radius", dest="max_radius", type=int, default=3)
     p.add_argument("--radii", default=None,
-                   help="comma-separated radii (default: 2,3 for fig3a, "
-                        "1,3 for fig3b, 1,2 for fig3c)")
+                   help="comma-separated radii (default: " + ", ".join(
+                       f"{radii} for {name}" for name, (_, _, radii, _)
+                       in RECIPES.items() if radii) + ")")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_threads_default())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from holocode.builder import HolographicCode
+from holocode import cli
 from holocode.cli import main
 from holocode.decoder import CodeDecoder
 from holocode.gf2 import symplectic_product
@@ -306,6 +307,39 @@ def test_reproduce_fig3c_radius_three_is_desk_scale(tmp_path, capsys):
     assert stderr == ""
     for name in ("fig3c_R2.csv", "fig3c_R3.csv"):
         assert os.path.exists(os.path.join(outdir, name))
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["fig3c", "--radii", "4"], "fig3c R=4"),
+    (["fig5", "--max-radius", "5"], "fig5 R=5"),
+], ids=["fig3c", "fig5"])
+def test_reproduce_warns_above_its_desk_radius(tmp_path, monkeypatch, capsys,
+                                               argv, label):
+    def no_build(*args):
+        raise ValueError("build refused")
+
+    monkeypatch.setattr(cli, "build_code", no_build)
+    rc, _, stderr = run(["reproduce", *argv, "--threads", "1",
+                         "--out-dir", str(tmp_path / "rep")], capsys)
+    assert rc == 4
+    warning, error = stderr.splitlines()
+    assert warning.startswith("warning: ") and label in warning
+    assert error == "error: build refused"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3a", "--radii", "1,1"],
+    ["fig3a", "--radii", "0,2"],
+    ["table3", "--max-radius", "0"],
+], ids=["repeated-radius", "radius-zero", "no-radius"])
+def test_reproduce_bad_radii_are_bad_input(tmp_path, capsys, argv):
+    outdir = tmp_path / "rep"
+    rc, stdout, stderr = run(["reproduce", *argv, "--trials", "5",
+                              "--threads", "1", "--out-dir", str(outdir)],
+                             capsys)
+    assert rc == 4
+    assert stdout == "" and stderr.startswith("error: ")
+    assert not outdir.exists()
 
 
 def test_unknown_subcommand_is_bad_input(capsys):
