@@ -278,27 +278,34 @@ def cmd_plotdata(args):
 
 # -- reproduce --------------------------------------------------------------
 
-# id -> (kind, (family, variant) rows, default --radii, desk radius).  A
-# "curves" recipe simulates each --radii code and finds the crossing; a
-# "table" or "fit" recipe takes central distances from R=1 to --max-radius
-# and writes the rows, or the (n, distance) points and their fitted
-# exponents.  Above its desk radius a recipe warns that it may run long.
-# The reduced-rate R=2 and R=3 curves do not cross, so fig3b pairs the
-# same-parity radii; fig3c at R=4 sums 62.7M states a sweep.
+# id -> (kind, (family, variant) rows, default of its radius flag, desk
+# radius).  A "curves" recipe simulates each --radii code and finds the
+# crossing; a "table" or "fit" recipe takes central distances from R=1 to
+# --max-radius and writes the rows, or the (n, distance) points and their
+# fitted exponents.  Above its desk radius a recipe warns that it may run
+# long.  The reduced-rate R=2 and R=3 curves do not cross, so fig3b pairs
+# the same-parity radii; fig3c at R=4 sums 62.7M states a sweep.
 RECIPES = {
     "table3": ("table", (("heptagon", "max"), ("pentagon", "reduced"),
-                         ("pentagon", "zero")), None, 4),
+                         ("pentagon", "zero")), 3, 4),
     "fig3a": ("curves", (("heptagon", "max"),), "2,3", None),
     "fig3b": ("curves", (("pentagon", "reduced"),), "1,3", None),
     "fig3c": ("curves", (("pentagon", "zero"),), "1,2", 3),
-    "fig5": ("fit", (("heptagon", "max"),), None, 4),
+    "fig5": ("fit", (("heptagon", "max"),), 3, 4),
 }
 
 
 def cmd_reproduce(args):
-    kind, families, default_radii, desk = RECIPES[args.id]
-    if args.radii is None:
-        args.radii = default_radii  # so the run record holds the radii
+    kind, families, default, desk = RECIPES[args.id]
+    used, other = (("radii", "max_radius") if kind == "curves"
+                   else ("max_radius", "radii"))
+    if getattr(args, other) is not None:  # recorded as null: it did not run
+        print(f"warning: reproduce {args.id} takes --{used.replace('_', '-')}"
+              f"; ignoring --{other.replace('_', '-')} {getattr(args, other)}",
+              file=sys.stderr)
+        setattr(args, other, None)
+    if getattr(args, used) is None:
+        setattr(args, used, default)  # so the run record holds the radii
     if kind == "curves":
         radii = [int(r) for r in args.radii.split(",")]
     else:
@@ -415,11 +422,17 @@ def make_parser():
 
     p = sub.add_parser("reproduce", help="canned desk-scale pipelines")
     p.add_argument("id", choices=list(RECIPES))
-    p.add_argument("--max-radius", dest="max_radius", type=int, default=3)
+
+    def defaults(*kinds):
+        return ", ".join(f"{default} for {name}" for name, (kind, _, default,
+                         _) in RECIPES.items() if kind in kinds)
+
+    p.add_argument("--max-radius", dest="max_radius", type=int, default=None,
+                   help="distances from R=1 to this radius (default: "
+                        f"{defaults('table', 'fit')})")
     p.add_argument("--radii", default=None,
-                   help="comma-separated radii (default: " + ", ".join(
-                       f"{radii} for {name}" for name, (_, _, radii, _)
-                       in RECIPES.items() if radii) + ")")
+                   help="comma-separated curve radii (default: "
+                        f"{defaults('curves')})")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_threads_default())

@@ -73,8 +73,12 @@ def fit_distance_scaling(points):
 
     ``points`` is a list of (n, d); returns (exponent, (lo, hi)) with a
     95% confidence interval from the t-distribution.  Needs >= 3 points.
+    The slope and its standard error are ``scipy.stats.linregress``'s
+    closed form, and the t quantile is the ``stdtrit`` that
+    ``scipy.stats.t.ppf`` calls, so the fit equals scipy's bit for bit
+    without loading ``scipy.stats``.
     """
-    from scipy import stats
+    from scipy.special import stdtrit
 
     if len(points) < 3:
         raise ValueError("need at least 3 points")
@@ -82,7 +86,13 @@ def fit_distance_scaling(points):
     y = np.log([p[1] for p in points])
     if np.ptp(x) == 0:
         raise ValueError("degenerate points")
-    res = stats.linregress(x, y)
-    tcrit = stats.t.ppf(0.975, len(points) - 2)
-    half = tcrit * res.stderr if np.isfinite(res.stderr) else 0.0
-    return res.slope, (res.slope - half, res.slope + half)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    df = len(points) - 2
+    if ssym == 0.0:  # constant distances: linregress's r is NaN
+        stderr = np.nan
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
+    half = stdtrit(df, 0.975) * stderr if np.isfinite(stderr) else 0.0
+    return slope, (slope - half, slope + half)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.stats import binom
 
 from .builder import HolographicCode
 from .decoder import CodeDecoder
@@ -118,10 +117,34 @@ def _fill(records, n: int):
     return filled, sig
 
 
+def _binomial_pmf(n: int, p: float):
+    """Binomial(n, p) probabilities of 0..n, by the ratio recurrence.
+
+    Starts from 1 at the mode and fills outwards with running products of
+    w[k+1]/w[k] = (n-k)p / ((k+1)(1-p)), each factor at most 1, then
+    normalizes.  No factorial is formed, nothing overflows, and the far
+    tails underflow to 0.  p = 0 and p = 1 give exact one-hot rows.
+    Raises ValueError for p outside [0, 1], NaN included.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p outside [0, 1]")
+    w = np.zeros(n + 1)
+    if p == 0.0 or p == 1.0:
+        w[0 if p == 0.0 else n] = 1.0
+        return w
+    mode = min(int((n + 1) * p), n)
+    up = np.arange(mode, n, dtype=float)  # k with w[k+1] from w[k]
+    down = np.arange(mode, 0, -1, dtype=float)  # k with w[k-1] from w[k]
+    w[mode] = 1.0
+    w[mode + 1:] = np.cumprod((n - up) * p / ((up + 1) * (1 - p)))
+    w[:mode] = np.cumprod(down * (1 - p) / ((n - down + 1) * p))[::-1]
+    return w / w.sum()
+
+
 def _mix(filled, p: float, n: int):
     """(p_failure, sigma) at rate p from ``_fill(records, n)``."""
     probs, sigmas = filled
-    w = binom.pmf(np.arange(n + 1), n, p)
+    w = _binomial_pmf(n, p)
     return (float(np.dot(w, probs)),
             float(math.sqrt(np.dot(w * w, sigmas * sigmas))))
 
@@ -133,9 +156,8 @@ def binomial_mix(records, p: float, n: int):
     missing weights are filled by the curve's monotone interpolation
     policy (``_fill``).  Returns (p_failure, sigma) with the per-weight
     uncertainties propagated in quadrature through the same weights.
+    Raises ValueError for p outside [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p outside [0, 1]")
     return _mix(_fill(records, n), p, n)
 
 

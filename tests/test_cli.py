@@ -327,6 +327,41 @@ def test_reproduce_warns_above_its_desk_radius(tmp_path, monkeypatch, capsys,
     assert error == "error: build refused"
 
 
+@pytest.mark.parametrize("argv, flag, ran, ignored", [
+    (["table3", "--radii", "9,9", "--max-radius", "1"], "--radii 9,9",
+     ("max_radius", 1), "radii"),
+    (["fig3a", "--max-radius", "7", "--radii", "1,2"], "--max-radius 7",
+     ("radii", "1,2"), "max_radius"),
+], ids=["table3", "fig3a"])
+def test_reproduce_warns_of_the_other_kinds_radius_flag(tmp_path, capsys,
+                                                        argv, flag, ran,
+                                                        ignored):
+    outdir = str(tmp_path / "rep")
+    rc, _, stderr = run(["reproduce", *argv, "--trials", "5", "--threads",
+                         "1", "--out-dir", outdir], capsys)
+    assert rc in (0, 2)
+    used = "--" + ran[0].replace("_", "-")
+    assert stderr == (f"warning: reproduce {argv[0]} takes {used}; "
+                      f"ignoring {flag}\n")
+    config = json.load(open(os.path.join(outdir, "manifest.json")))["config"]
+    assert config[ran[0]] == ran[1] and config[ignored] is None
+
+
+def test_reproduce_old_record_with_the_other_flag_still_replays(tmp_path,
+                                                                capsys):
+    config = {"id": "table3", "max_radius": 1, "radii": "9,9",
+              "out_dir": str(tmp_path / "old"), "seed": 0, "trials": 2000}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "reproduce", "config": config}))
+    outdir = tmp_path / "new"
+    rc, _, stderr = run(["--config", str(path), "--out-dir", str(outdir)],
+                        capsys)
+    assert rc == 0
+    assert stderr == ("warning: reproduce table3 takes --max-radius; "
+                      "ignoring --radii 9,9\n")
+    assert len(json.load(open(outdir / "table3.json"))) == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["fig3a", "--radii", "1,1"],
     ["fig3a", "--radii", "0,2"],

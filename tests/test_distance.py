@@ -172,6 +172,32 @@ def test_fit_exact_power_law():
     assert hi == pytest.approx(0.5, abs=1e-9)
 
 
+# heptagon/max R=1..4 central (n, bit) and (n, word) points, as in fig5.
+HEPTAGON_FIT_POINTS = [
+    [(7, 3), (42, 9), (203, 19), (973, 45)],
+    [(7, 3), (42, 6), (203, 8), (973, 15)],
+]
+
+
+@pytest.mark.parametrize("points", HEPTAGON_FIT_POINTS + [
+    [(n, n ** 0.5) for n in (10, 100, 1000, 10000)],
+    [(7, 3), (42, 9), (203, 19)],
+    [(7, 3), (42, 3), (203, 3), (973, 3)],
+    [(5, 2), (25, 2), (125, 3)],
+], ids=["bit", "word", "exact", "three", "constant", "noisy"])
+def test_fit_equals_scipy_stats(points):
+    import numpy as np
+    from scipy import stats
+
+    res = stats.linregress(np.log([p[0] for p in points]),
+                           np.log([p[1] for p in points]))
+    half = stats.t.ppf(0.975, len(points) - 2) * res.stderr
+    if not np.isfinite(half):
+        half = 0.0
+    assert fit_distance_scaling(points) == (
+        res.slope, (res.slope - half, res.slope + half))
+
+
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
         fit_distance_scaling([(10, 3), (100, 9)])

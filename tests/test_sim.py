@@ -14,6 +14,7 @@ from holocode.decoder import CodeDecoder
 from holocode.sim import (
     FailureCurve,
     WeightRecord,
+    _binomial_pmf,
     _trial_rng,
     binomial_mix,
     estimate_threshold,
@@ -132,6 +133,46 @@ def test_binomial_mix_rejects_bad_rate():
     recs = [WeightRecord(0, 10, 0)]
     with pytest.raises(ValueError):
         binomial_mix(recs, 1.5, 3)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_mixer_rejects_bad_rate(p):
+    curve = FailureCurve("f", "v", 1, 3, 1, 0, 0,
+                         records=[WeightRecord(0, 10, 0)])
+    with pytest.raises(ValueError, match=r"p outside \[0, 1\]"):
+        curve.mixer()(p)
+
+
+@pytest.mark.parametrize("n", [42, 203, 973, 4662])
+def test_binomial_pmf_against_high_precision_oracle(n):
+    # Every term above 1e-12 of the peak lies within 12 sigma of the mean;
+    # the oracle evaluates that window, and the terms outside it must be
+    # below that cut.
+    import mpmath
+
+    for p in (0.003, 0.05, 0.11, 0.37, 0.5):
+        w = _binomial_pmf(n, p)
+        assert w.shape == (n + 1,)
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
+        half = 12 * math.sqrt(n * p * (1 - p)) + 5
+        lo, hi = max(0, int(n * p - half)), min(n, int(n * p + half) + 1)
+        with mpmath.workdps(40):
+            q = mpmath.mpf(p)
+            exact = [mpmath.binomial(n, a) * q ** a * (1 - q) ** (n - a)
+                     for a in range(lo, hi + 1)]
+        cut = 1e-12 * float(max(exact))
+        for a, term in zip(range(lo, hi + 1), exact):
+            if term > cut:
+                assert abs(w[a] - term) <= 1e-13 * term, (n, p, a)
+        outside = np.concatenate([w[:lo], w[hi + 1:]])
+        assert (outside <= cut).all(), (n, p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 42, 4662])
+def test_binomial_pmf_certain_rates_are_one_hot(n):
+    for p, a in ((0.0, 0), (1.0, n)):
+        w = _binomial_pmf(n, p)
+        assert w[a] == 1.0 and w.sum() == 1.0
 
 
 def test_binomial_mix_against_high_precision_oracle():
