@@ -306,6 +306,46 @@ def _reduce_weights(stabilizers: list, reps: list, n: int) -> list:
     return [reduce(rep) for rep in reps]
 
 
+def _swap(p: PauliVector) -> PauliVector:
+    return PauliVector(p.n, p.z, p.x)
+
+
+def _reduce_sectors(stabilizers: list, reps: list, n: int) -> list:
+    """``_reduce_weights`` once per error sector where the rows allow it:
+    in place on ``stabilizers``, and returns the reduced representatives.
+
+    When every stabilizer and representative is pure X or pure Z, the X
+    rows and the Z rows are reduced apart, each in its own order.  That is
+    exact: an X-type operator times a Z-type row has the union of the two
+    supports, so the joint passes never accept a row of the other type,
+    and a type whose first round changes nothing would change nothing in
+    a second.  If the Z rows are the X rows with x and z swapped (every
+    heptagon/max code), the X result is reused, swapped back.  Other codes
+    get one joint ``_reduce_weights``.
+    """
+    m = len(stabilizers)
+    rows = stabilizers + reps
+    if any(p.x and p.z for p in rows):
+        return _reduce_weights(stabilizers, reps, n)
+    x_at = [i for i, p in enumerate(rows) if not p.z]
+    z_at = [i for i, p in enumerate(rows) if p.z]
+
+    def split(at):  # (stabilizer rows, representatives) of one type
+        return [rows[i] for i in at if i < m], [rows[i] for i in at if i >= m]
+
+    def reduce(stabs, sector_reps):
+        return stabs + _reduce_weights(stabs, sector_reps, n)
+
+    x_part, z_part = split(x_at), split(z_at)
+    self_dual = x_part == tuple([_swap(p) for p in part] for part in z_part)
+    x_out = reduce(*x_part)
+    z_out = [_swap(p) for p in x_out] if self_dual else reduce(*z_part)
+    for i, p in zip(x_at + z_at, x_out + z_out):
+        rows[i] = p
+    stabilizers[:] = rows[:m]
+    return rows[m:]
+
+
 def extract_code(gens: list, graph: TileGraph,
                  seed_name: str = "") -> HolographicCode:
     """Read off the boundary code from the generators ``network_state``
@@ -318,10 +358,11 @@ def extract_code(gens: list, graph: TileGraph,
     Stabilizers are listed X-type first, each type in elimination order;
     for a CSS code that is the order of two sector eliminations, since the
     reduced form of a block-diagonal matrix is unique.  ``_reduce_weights``
-    then lowers their weights greedily; its passes keep a per-qubit index
-    of the stabilizers, ``cols[q]``, and visit only the rows on the
-    operator's support that pass the bound 2|r & sup| > |r|, in the order
-    and with the results of a scan of every row.
+    then lowers their weights greedily, once per sector of a code whose
+    rows are each pure X or pure Z (``_reduce_sectors``); its passes keep
+    a per-qubit index of the stabilizers, ``cols[q]``, and visit only the
+    rows on the operator's support that pass the bound 2|r & sup| > |r|,
+    in the order and with the results of a scan of every row.
     """
     n = len(graph.boundary_legs)
     k = len(graph.bulk_legs)
@@ -346,7 +387,7 @@ def extract_code(gens: list, graph: TileGraph,
         raise NotIsometryError(
             f"{len(stabilizers)} independent stabilizers, expected {n - k}"
         )
-    reps = _reduce_weights(stabilizers, [r for xz in logicals for r in xz], n)
+    reps = _reduce_sectors(stabilizers, [r for xz in logicals for r in xz], n)
     layer = {t.id: t.layer for t in graph.tiles}
     out_logicals = [LogicalQubit(ell, layer[graph.bulk_legs[ell][0]],
                                  reps[2 * ell], reps[2 * ell + 1])

@@ -9,11 +9,13 @@ trellis of McEliece, "On the BCJR trellis for linear block codes", IEEE
 Trans. IT 1996).  ``coset_sectors`` turns a code into these coset
 problems, one per error sector; decoding and the distances of
 ``holocode.distance`` read the same sector rows and use the same
-minimizer.  The trellis keeps its state bits ordered by where their
-rows end, the first to end on the top bit, so a sweep is repeats, adds
-and compares of contiguous halves over one weight array, and it stores
-one parity byte per state and column, which the sweep compares with the
-target's bits there.
+minimizer, and each solves a problem that two sectors share once (the X
+and Z sectors of a self-dual CSS code, such as every heptagon/max code).
+The trellis keeps its state bits ordered by where their rows end, the
+first to end on the top bit, so a sweep is repeats, adds and compares of
+contiguous halves over one weight array, and it stores one parity byte
+per state and column, which the sweep compares with the target's bits
+there.
 A trellis whose state profile exceeds its limit raises
 ``TrellisLimitError`` instead of returning an uncertified answer.
 
@@ -341,6 +343,12 @@ def coset_sectors(code: HolographicCode) -> list:
     Any other code gives one sector, with X-bar then Z-bar per qubit.
     Decoding minimizes over the stabilizers and all logical rows; a
     distance of qubit i targets its first logical row.
+
+    The two CSS sectors of a self-dual code are the same problem: every
+    heptagon/max code (Steane seed) has equal checks, stabilizer rows and
+    logical rows in both, and ``CodeDecoder`` and the distances solve such
+    a pair once.  heptagon/zero from R=2 and every pentagon CSS code have
+    two different sectors.
     """
     n = code.n
     stabs = code.stabilizers
@@ -366,17 +374,25 @@ class CodeDecoder:
 
     CSS codes decode their Z-error and X-error sectors independently, each
     under Hamming weight; other codes solve one joint problem under Pauli
-    weight (the most likely single error under depolarizing noise).
+    weight (the most likely single error under depolarizing noise).  Sectors
+    with the same checks, generators, width and fold share one set of
+    check columns, ISF and trellis: the X and Z sectors of a self-dual CSS
+    code such as heptagon/max are built once.
     """
 
     def __init__(self, code: HolographicCode):
         self.n = code.n
         self._sectors = []  # (check columns, ISF units, trellis, gens, Sector)
+        solved = {}  # one of each per distinct coset problem
         for s in coset_sectors(code):
             gens = s.stabilizers + [r for rows in s.logicals for r in rows]
-            self._sectors.append((
-                transpose(s.checks, s.width), right_inverse(s.checks, s.width),
-                CosetTrellis(gens, s.width, fold_shift=s.fold), gens, s))
+            key = (tuple(s.checks), tuple(gens), s.width, s.fold)
+            if key not in solved:
+                solved[key] = (
+                    transpose(s.checks, s.width),
+                    right_inverse(s.checks, s.width),
+                    CosetTrellis(gens, s.width, fold_shift=s.fold), gens)
+            self._sectors.append((*solved[key], s))
         # ``syndrome`` returns, and ``decode`` takes, a pair for a CSS code
         # and one int otherwise; perfbench reads each sector's gens and ISF.
         self.mode = "css" if code.css else "symplectic"

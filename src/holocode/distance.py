@@ -6,7 +6,9 @@ over stabilizers only).  The word distance also allows non-trivial action
 on the other qubits (coset over stabilizers plus the other qubits' logical
 rows) and is never larger.  Both read the sectors of
 ``decoder.coset_sectors``, the rows the decoder minimizes over, and target
-qubit i's first logical row there.
+qubit i's first logical row there.  Sectors that pose the same coset
+problem (same rows, width, target and fold) are swept once: the X and Z
+sectors of a self-dual CSS code, every heptagon/max code among them.
 """
 
 from __future__ import annotations
@@ -55,17 +57,20 @@ def _distance(code, qubit, sector, with_others, kind):
     if not chosen:
         raise ValueError(f"sector {sector!r} is not min or one of this "
                          f"code's sectors: {', '.join(s.name for s in sectors)}")
-    weights = []
+    weights = {}  # one sweep per distinct coset problem
     for s in chosen:
         rows = list(s.stabilizers)
         if with_others:
             rows += [r for j, qubit_rows in enumerate(s.logicals) if j != qubit
                      for r in qubit_rows]
-        weights.append(coset_weight(rows, s.width, s.logicals[qubit][0],
-                                    fold_shift=s.fold))
+        target = s.logicals[qubit][0]
+        key = (tuple(rows), s.width, target, s.fold)
+        if key not in weights:
+            weights[key] = coset_weight(rows, s.width, target,
+                                        fold_shift=s.fold)
     if len(chosen) == 1:
         sector = chosen[0].name
-    return DistanceResult(qubit, sector, kind, min(weights), True)
+    return DistanceResult(qubit, sector, kind, min(weights.values()), True)
 
 
 def fit_distance_scaling(points):

@@ -360,6 +360,79 @@ def test_indexed_reduction_matches_full_scan(inputs):
     assert got_reps == want_reps
 
 
+@pytest.mark.parametrize("family,variant,seed,radius,reductions", [
+    *[("heptagon", "max", "steane", r, 1) for r in (1, 2, 3)],  # self-dual
+    ("heptagon", "zero", "steane", 1, 1),
+    *[("heptagon", "zero", "steane", r, 2) for r in (2, 3)],
+    *[("pentagon", "reduced", "scf", r, 2) for r in (1, 2, 3)],
+    *[("pentagon", "max", "five_qubit", r, 1) for r in (1, 2)],  # joint
+])
+def test_sector_reduction_matches_joint_reduction(monkeypatch, family, variant,
+                                                  seed, radius, reductions):
+    """``extract_code`` reduces a CSS code's X and Z rows apart, and a
+    self-dual code's once; the reference is one joint ``_reduce_weights``
+    over every stabilizer and representative."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    real = builder._reduce_weights
+    monkeypatch.setattr(builder, "_reduce_weights", counted)
+    code = build_code(family, variant, radius, seed)
+    assert len(calls) == reductions
+    monkeypatch.setattr(builder, "_reduce_sectors", real)
+    joint = build_code(family, variant, radius, seed)
+    assert code.stabilizers == joint.stabilizers
+    assert code.logicals == joint.logicals
+
+
+@st.composite
+def css_reduction_inputs(draw):
+    """Sparse pure-X and pure-Z rows, listed X-type first (or shuffled),
+    and representatives X-bar, Z-bar per qubit, each a sparse row times a
+    few rows of its type; half the time the Z rows are the X rows with x
+    and z swapped."""
+    n = draw(st.integers(1, 24))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=6).map(
+        lambda qs: sum(1 << q for q in qs))
+    k = draw(st.integers(0, 3))
+
+    def rows(kind, count):
+        return [PauliVector(n, s, 0) if kind == "x" else PauliVector(n, 0, s)
+                for s in draw(st.lists(support, min_size=count, max_size=count))]
+
+    def sector(kind):
+        stabs = rows(kind, draw(st.integers(0, 12)))
+        reps = [functools.reduce(PauliVector.mul, draw(st.lists(
+            st.sampled_from(stabs), max_size=3)) if stabs else [], rep)
+            for rep in rows(kind, k)]
+        return stabs, reps
+
+    x_stabs, x_reps = sector("x")
+    if draw(st.booleans()):
+        z_stabs = [builder._swap(p) for p in x_stabs]
+        z_reps = [builder._swap(p) for p in x_reps]
+    else:
+        z_stabs, z_reps = sector("z")
+    stabs = x_stabs + z_stabs
+    if draw(st.booleans()):
+        stabs = draw(st.permutations(stabs))
+    return n, stabs, [r for xz in zip(x_reps, z_reps) for r in xz]
+
+
+@settings(max_examples=200, deadline=None)
+@given(css_reduction_inputs())
+def test_sector_reduction_matches_joint_on_pure_rows(inputs):
+    n, stabs, reps = inputs
+    want_stabs = list(stabs)
+    want_reps = builder._reduce_weights(want_stabs, list(reps), n)
+    got_stabs = list(stabs)
+    assert builder._reduce_sectors(got_stabs, list(reps), n) == want_reps
+    assert got_stabs == want_stabs
+
+
 def test_logical_layers_recorded():
     code = build_code("heptagon", "max", 2)
     assert code.logicals[0].layer == 0

@@ -412,11 +412,42 @@ def test_coset_weight_equals_trellis_minimum(problem):
 
 
 def test_coset_sectors_steane_self_dual():
+    """Every heptagon/max sector pair is one coset problem, which the
+    decoder and the distances solve once; a pentagon/reduced pair is not."""
     z, x = coset_sectors(build_code("heptagon", "max", 1))
     assert (z.name, z.offset, x.name, x.offset) == ("z", 7, "x", 0)
     assert eliminate(z.checks)[0] == eliminate(x.checks)[0]
     assert len(z.checks) == len(x.checks) == 3
     assert len(z.logicals) == len(x.logicals) == 1
+    for radius in (1, 2, 3):
+        code = build_code("heptagon", "max", radius)
+        z, x = coset_sectors(code)
+        assert (z.offset, x.offset) == (code.n, 0)
+        assert (z.checks, z.stabilizers, z.logicals) \
+            == (x.checks, x.stabilizers, x.logicals)
+    z, x = coset_sectors(build_code("pentagon", "reduced", 2))
+    assert z.checks != x.checks and z.stabilizers != x.stabilizers
+    assert z.logicals != x.logicals
+
+
+@pytest.mark.parametrize("family,variant,radius,shared", [
+    ("heptagon", "max", 1, True),
+    ("heptagon", "max", 2, True),
+    ("heptagon", "max", 3, True),
+    ("pentagon", "reduced", 2, False),
+    ("pentagon", "reduced", 3, False),
+    ("heptagon", "zero", 2, False),
+])
+def test_decoder_builds_each_distinct_sector_once(family, variant, radius,
+                                                  shared):
+    """Check columns, ISF and trellis: one of each for both sectors of a
+    self-dual code, one per sector otherwise."""
+    dec = CodeDecoder(build_code(family, variant, radius))
+    assert [s.name for *_, s in dec._sectors] == ["z", "x"]
+    for part in range(3):  # check columns, ISF units, trellis
+        objects = {id(entry[part]) for entry in dec._sectors}
+        assert len(objects) == (1 if shared else 2)
+    assert (dec.fx is dec.fz) == shared
 
 
 def test_coset_sectors_scf_dimensions():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from holocode import distance
 from holocode.builder import build_code
 from holocode.decoder import CosetTrellis, coset_sectors
 from holocode.distance import bit_distance, fit_distance_scaling, word_distance
@@ -110,6 +111,28 @@ def test_self_dual_sectors_agree():
         dx = kind(code, 0, sector="x")
         dz = kind(code, 0, sector="z")
         assert dx.value == dz.value
+
+
+@pytest.mark.parametrize("family,variant,radius,sweeps", [
+    ("heptagon", "max", 2, 1),  # self-dual: both sectors one problem
+    ("pentagon", "reduced", 3, 2),
+    ("pentagon", "zero", 2, 1),  # five-qubit seed: one Pauli sector
+])
+def test_distance_sweeps_each_distinct_sector_once(monkeypatch, family,
+                                                   variant, radius, sweeps):
+    code = build_code(family, variant, radius)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = distance.coset_weight
+    monkeypatch.setattr(distance, "coset_weight", counted)
+    for kind in (bit_distance, word_distance):
+        calls.clear()
+        kind(code, 0)
+        assert len(calls) == sweeps
 
 
 def test_distance_invariant_under_representative_choice():
