@@ -19,7 +19,6 @@ import re
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .builder import HolographicCode, build_code
@@ -80,6 +79,8 @@ def _write_manifest(parser, args):
         path = args.out + ".manifest.json"
     else:
         return
+    import scipy  # only the record reads it; no holocode computation does
+
     keys = _subcommand_dests(parser, args.subcommand) - {"help", "threads"}
     _write_json(path, {
         "subcommand": args.subcommand,

@@ -13,7 +13,6 @@ sectors of a self-dual CSS code, every heptagon/max code among them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +72,31 @@ def _distance(code, qubit, sector, with_others, kind):
     return DistanceResult(qubit, sector, kind, min(weights.values()), True)
 
 
+# scipy.special.stdtrit(df, 0.975), the two-sided 95% t quantile, for
+# df = 1..30 (index df - 1).  Written as repr of the float64 values, so
+# each reads back to the same bits.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
+
+def _t975(df):
+    if df <= len(_T975):
+        return _T975[df - 1]
+    from scipy.special import stdtrit
+
+    return stdtrit(df, 0.975)
+
+
 def fit_distance_scaling(points):
     """Least-squares power-law fit of distance against qubit count.
 
@@ -80,11 +104,10 @@ def fit_distance_scaling(points):
     95% confidence interval from the t-distribution.  Needs >= 3 points.
     The slope and its standard error are ``scipy.stats.linregress``'s
     closed form, and the t quantile is the ``stdtrit`` that
-    ``scipy.stats.t.ppf`` calls, so the fit equals scipy's bit for bit
-    without loading ``scipy.stats``.
+    ``scipy.stats.t.ppf`` calls, so the fit equals scipy's bit for bit.
+    Up to 32 points the quantile comes from ``_T975`` and the fit loads
+    no scipy module; more points import ``scipy.special``.
     """
-    from scipy.special import stdtrit
-
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     x = np.log([p[0] for p in points])
@@ -99,5 +122,5 @@ def fit_distance_scaling(points):
     else:
         r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
         stderr = np.sqrt((1 - r**2) * ssym / ssxm / df)
-    half = stdtrit(df, 0.975) * stderr if np.isfinite(stderr) else 0.0
+    half = _t975(df) * stderr if np.isfinite(stderr) else 0.0
     return slope, (slope - half, slope + half)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,18 +224,30 @@ def _worker_chunk(args, decoder=None):
                          range(lo, hi), seed)
 
 
-def _check_run(code: HolographicCode, target_qubit: int, m: int):
+def _check_run(code: HolographicCode, target_qubit: int, m: int, weights):
+    """Raise ValueError, before any trial, for a target qubit, trial count
+    or weight schedule (``simulate_code``'s, or a list) a run cannot use."""
     if not 0 <= target_qubit < code.k:
         raise ValueError(f"target qubit {target_qubit} outside 0..{code.k - 1}")
     if m < 1:
         raise ValueError("need at least one trial per weight")
+    if isinstance(weights, str):
+        if weights in ("all", "auto"):
+            return
+        raise ValueError(f"weights must be 'all', 'auto' or a list, "
+                         f"got {weights!r}")
+    if not weights:
+        raise ValueError("empty weight list: nothing to simulate")
+    bad = sorted({a for a in weights if not 0 <= a <= code.n})
+    if bad:
+        raise ValueError(f"weights {bad} outside 0..{code.n}")
 
 
 def run_trials(code: HolographicCode, target_qubit: int, a: int, m: int,
                seed: int, decoder: CodeDecoder | None = None) -> WeightRecord:
     """m decode trials at fixed error weight a; failures counted on the
     target qubit."""
-    _check_run(code, target_qubit, m)
+    _check_run(code, target_qubit, m, [a])
     dec = decoder or CodeDecoder(code)
     f = _run_chunk(dec, _code_key(code, target_qubit), target_qubit, a,
                    range(m), seed)
@@ -249,10 +260,15 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     """Estimate P_failure(a, n) over an error-weight schedule.
 
     ``weights`` is "all" (every 0..n), "auto" (all for n <= 50, else an
-    adaptive grid refined where the curve is steep), or an explicit list.
-    Deterministic for fixed seed independent of ``threads``.
+    adaptive grid refined where the curve is steep), or an explicit
+    non-empty list of weights in 0..n; anything else raises ValueError
+    before any trial.  Deterministic for fixed seed independent of
+    ``threads``.  ``threads`` > 1 decodes in that many worker processes;
+    only then is ``concurrent.futures``' process pool imported.
     """
-    _check_run(code, target_qubit, trials_per_weight)
+    if not isinstance(weights, str):
+        weights = sorted(set(weights))
+    _check_run(code, target_qubit, trials_per_weight, weights)
     n = code.n
     curve = FailureCurve(code.family, code.variant, code.radius, n, code.k,
                          target_qubit, seed)
@@ -261,6 +277,8 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     pool = None
     dec = None
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(
             max_workers=threads, initializer=_worker_init, initargs=(code,),
         )
@@ -294,7 +312,7 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
                     break
                 measure(new, trials_per_weight)
         else:
-            measure(sorted(set(weights)), trials_per_weight)
+            measure(weights, trials_per_weight)
     finally:
         if pool is not None:
             pool.shutdown()

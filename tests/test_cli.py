@@ -434,6 +434,21 @@ def test_simulate_bad_arguments_are_bad_input(tmp_path, capsys, radius, flags):
     assert not os.path.exists(out)
 
 
+def test_simulate_weight_past_n_exits_before_decoding(tmp_path, monkeypatch,
+                                                      capsys):
+    def no_decoding(*args):
+        raise AssertionError("decoded a trial")
+
+    monkeypatch.setattr(CodeDecoder, "decode", no_decoding)
+    out = str(tmp_path / "c.csv")
+    rc, stdout, stderr = run(["simulate", "--family", "heptagon", "--variant",
+                              "max", "--radius", "1", "--weights", "3,99",
+                              "--threads", "1", "--out", out], capsys)
+    assert rc == 4
+    assert stdout == "" and "weights [99] outside 0..7" in stderr
+    assert not os.path.exists(out)
+
+
 def test_non_integer_threads_env_is_bad_input(monkeypatch, capsys):
     monkeypatch.setenv("HOLOCODE_THREADS", "abc")
     rc, stdout, stderr = run(["verify"], capsys)

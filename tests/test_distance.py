@@ -221,6 +221,20 @@ def test_fit_equals_scipy_stats(points):
         res.slope, (res.slope - half, res.slope + half))
 
 
+def test_t_quantile_table_equals_scipy():
+    from scipy.special import stdtrit
+
+    assert len(distance._T975) == 30
+    for df, value in enumerate(distance._T975, start=1):
+        assert value == stdtrit(df, 0.975), df
+
+
+def test_fit_past_the_table_equals_scipy_stats():
+    # 40 points: df = 38 reads the quantile from scipy, not the table
+    test_fit_equals_scipy_stats([(7 * 2 ** i, 3 + i + i % 3)
+                                 for i in range(40)])
+
+
 def test_fit_requires_three_points():
     with pytest.raises(ValueError):
         fit_distance_scaling([(10, 3), (100, 9)])

@@ -1,5 +1,6 @@
 """What a holocode process loads: scipy.stats never, scipy.special only
-for the distance fit."""
+for a distance fit of more than 32 points, and a process pool only for
+runs with more than one worker."""
 
 import os
 import subprocess
@@ -23,16 +24,16 @@ def loaded(package):
 
 
 small = simulate_code(build_code("heptagon", "max", 1), trials_per_weight=20,
-                      weights="all")
+                      weights="all", threads=1)
 n = 42  # fails from weight 6 on
 large = FailureCurve("heptagon", "max", 2, n, 1, 0, 0,
                      records=[WeightRecord(a, 10, 10 * (a >= 6))
                               for a in range(n + 1)])
 estimate_threshold([small, large])
-assert not loaded("scipy.stats"), loaded("scipy.stats")
+assert not loaded("concurrent.futures.process"), loaded("concurrent")
+for count in range(3, 33):
+    fit_distance_scaling([(7 * 2 ** i, 3 + i) for i in range(count)])
 assert not loaded("scipy.special"), loaded("scipy.special")
-fit_distance_scaling([(7, 3), (42, 9), (203, 19)])
-assert loaded("scipy.special")
 assert not loaded("scipy.stats"), loaded("scipy.stats")
 """
 

@@ -116,6 +116,27 @@ def test_bad_target_or_trial_count_raises_before_decoding(target, m):
         simulate_code(code, target, trials_per_weight=m, weights=[0])
 
 
+def _no_decoding(*args):
+    raise AssertionError("decoded a trial")
+
+
+def test_empty_weight_list_raises_before_decoding(monkeypatch):
+    # an empty curve would write a CSV that read_curve_csv rejects
+    monkeypatch.setattr(CodeDecoder, "decode", _no_decoding)
+    with pytest.raises(ValueError, match="empty weight list"):
+        simulate_code(build_code("heptagon", "max", 1), weights=[])
+
+
+@pytest.mark.parametrize("bad", [99, -1], ids=["past-n", "negative"])
+def test_weight_outside_range_raises_before_decoding(monkeypatch, bad):
+    code = build_code("heptagon", "max", 1)  # n = 7
+    monkeypatch.setattr(CodeDecoder, "decode", _no_decoding)
+    with pytest.raises(ValueError, match=rf"weights \[{bad}\] outside 0..7"):
+        simulate_code(code, trials_per_weight=5, weights=[3, bad])
+    with pytest.raises(ValueError, match=rf"weights \[{bad}\] outside 0..7"):
+        run_trials(code, 0, bad, 5, seed=0)
+
+
 def test_binomial_mix_analytic_cases():
     n = 9
     zero = [WeightRecord(a, 100, 0) for a in range(n + 1)]
