@@ -19,15 +19,21 @@ there.
 A trellis whose state profile exceeds its limit raises
 ``TrellisLimitError`` instead of returning an uncertified answer.
 
-One generator, ``_schedule``, yields a trellis's ops in sweep order, and
+One function, ``_schedule``, puts the rows in minimal-span form, reads
+the trellis's state profile from their spans (``_profile``: the state
+bits at each position, so the peak and summed state counts, before any
+parity row is built) and returns a generator of the ops in sweep order;
 one forward pass, ``_sweep``, consumes them.  A decoder keeps the ops
-(``CosetTrellis``) to sweep many targets and backtrace each.  A distance
-needs one weight from one sweep, so ``coset_weight`` streams the ops
-through ``_sweep`` and drops each column's parity row once swept: its
-memory follows the peak state count, not the states summed over
-columns.  The pentagon/zero R=4 bit distance (20 peak state bits) peaks
-at 4.5 MiB under ``tracemalloc`` this way, against 78.4 MiB for a stored
-trellis.
+(``CosetTrellis``, whose rows are read-only) to sweep many targets and
+backtrace each.  A distance needs one weight from one sweep, so
+``coset_weight`` streams the ops through ``_sweep`` with two buffers
+sized once from the profile's peak: a ``uint8`` row buffer that every
+column's parity row is built into and compared in, and a weights buffer
+that branches and merges work in.  Such a sweep allocates nothing per
+column, and its memory follows the peak state count, not the states
+summed over columns: 3 bytes per peak state with ``int16`` weights.  The
+pentagon/zero R=4 bit distance (20 peak state bits) peaks at 3.2 MiB
+under ``tracemalloc`` this way, against 78.4 MiB for a stored trellis.
 
 The same minimization can be phrased as a standard integer linear
 program for users who prefer an external solver: minimize sum_i w_i
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,45 +105,88 @@ def _minimal_span(rows):
     return [r for r, _ in work], [c for _, c in work]
 
 
-# State bits whose part of a parity row is built as one Python int, one
-# byte per state, before numpy doubles the row over the remaining bits.
+# parity(s & v) for every 8-bit state s (column) and row mask v (row),
+# read-only: the low ``_TABLE_BITS`` state bits of every parity row read
+# from here.  Joined from one bytes object per row, which leaves less
+# resident memory behind than numpy's ``bitwise_count`` or one long
+# ``bytes`` (0.1 against 0.2-0.35 MiB of RSS on import).
 _TABLE_BITS = 8
-_ONES = [int.from_bytes(b"\x01" * (1 << b), "little") for b in range(_TABLE_BITS)]
+_PARITY = np.frombuffer(
+    b"".join(bytes((s & v).bit_count() & 1 for s in range(256))
+             for v in range(256)),
+    dtype=np.uint8).reshape(256, 256)
 
 
-def _parity_row(vs) -> np.ndarray:
+def _parity_row(vs, stride: int, out=None) -> np.ndarray:
     """The ``uint8`` row whose entry s is the XOR of ``vs[b]`` over the set
-    bits b of s.
+    bits b of s; each vs[b] has ``stride`` bits.
 
-    The entries below 2^b, XORed with vs[b], are those of 2^b..2^(b+1)-1.
-    The first ``_TABLE_BITS`` doublings run on one Python int, a byte per
-    entry, so a narrow row costs one numpy assignment.
+    The entries below 2^8 are the table rows ``_PARITY[m]``, one per bit
+    of the vs, at the mask m of the state bits whose vs set that bit.  A
+    one-bit row of at most 8 state bits is a read-only view of the table.
+    Otherwise the row is written into ``out`` (a fresh array when None),
+    and the entries below 2^b, XORed with vs[b], give those of
+    2^b..2^(b+1)-1 for b from 8 up, so each state is written once.
     """
-    low = min(len(vs), _TABLE_BITS)
-    t = 0
-    for b in range(low):
-        t |= (t ^ vs[b] * _ONES[b]) << (8 << b)
-    code = np.empty(1 << len(vs), dtype=np.uint8)
-    code[:1 << low] = np.frombuffer(t.to_bytes(1 << low, "little"), np.uint8)
-    for b in range(low, len(vs)):
+    k = len(vs)
+    low = min(k, _TABLE_BITS)
+    m = 1 << low
+    masks = [sum(((v >> s) & 1) << b for b, v in enumerate(vs[:low]))
+             for s in range(stride)]
+    if stride == 1 and k == low:
+        return _PARITY[masks[0], :m]
+    code = np.empty(1 << k, dtype=np.uint8) if out is None else out[:1 << k]
+    if stride == 1:
+        code[:m] = _PARITY[masks[0], :m]
+    else:  # bit 0 from the x bits, bit 1 from the z bits
+        np.left_shift(_PARITY[masks[1], :m], 1, out=code[:m])
+        code[:m] |= _PARITY[masks[0], :m]
+    for b in range(low, k):
         h = 1 << b
         np.bitwise_xor(code[:h], vs[b], out=code[h:2 * h])
     return code
 
 
-def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
-    """The minimal trellis of ``gens`` as a stream of ops.
+def _profile(rows, stride: int, positions: int, state_limit: int) -> list:
+    """The state bits at each position's emit: the number of ``rows``
+    (interleaved, ``stride`` bits per position) whose span holds it.
 
-    Yields (spread, combos, weight dtype) first: the bit map that
-    interleaves a folded target (None unfolded), each reduced row's mask
-    over ``gens`` in row order, and the sweep's weight type.  Then one op
-    at a time: ("branch", row, bit), ("emit", shift, pattern, code) and
-    ("merge", row), in sweep order.  A branch's bit counts from the bottom:
-    it is the number of active rows that end after the new one, or at the
-    same column but start before it, so a merge always takes the top bit.
-    A consumer that drops each op once swept holds one column's parity row
-    at a time.  Raises ``TrellisLimitError`` at the first branch that
-    needs more than ``state_limit`` states.
+    This is the trellis's state profile, read from the rows' first and
+    last positions without building a parity row: the peak state count is
+    2^max and a sweep's summed states are the sum of 2^bits.  Raises
+    ``TrellisLimitError`` at the first position that needs more than
+    ``state_limit`` states; there the rows that start at that position
+    branch past 2^``state_limit.bit_length()`` states.
+    """
+    delta = [0] * (positions + 1)
+    for r in rows:
+        delta[((r & -r).bit_length() - 1) // stride] += 1
+        delta[(r.bit_length() - 1) // stride + 1] -= 1
+    profile = list(accumulate(delta[:-1]))
+    for p, bits in enumerate(profile):
+        if 1 << bits > state_limit:
+            raise TrellisLimitError(
+                f"trellis needs 2^{state_limit.bit_length()} states at "
+                f"position {p}, above the limit of {state_limit}")
+    return profile
+
+
+def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
+    """The minimal trellis of ``gens``: (spread, combos, weight dtype,
+    profile, ops).
+
+    ``spread`` is the bit map that interleaves a folded target (None
+    unfolded), ``combos`` each reduced row's mask over ``gens`` in row
+    order, and ``profile`` the state bits at each position (``_profile``,
+    which raises ``TrellisLimitError`` here, before any op).  ``ops(out)``
+    yields one op at a time, in sweep order: ("branch", row, bit), ("emit",
+    shift, pattern, code) and ("merge", row).  A branch's bit counts from
+    the bottom: it is the number of active rows that end after the new
+    one, or at the same column but start before it, so a merge always
+    takes the top bit.  Given ``out``, a ``uint8`` buffer of at least the
+    peak state count, every parity row is built into it, so each emit's
+    row is overwritten by the next one's; otherwise every row is its own
+    array (a table view when it is one-bit and narrow).
     """
     if fold_shift is None:
         spread = None
@@ -156,36 +206,63 @@ def _schedule(gens, width: int, fold_shift: int | None, state_limit: int):
     order = sorted(range(len(rows)),
                    key=lambda i: (rows[i] & -rows[i]).bit_length())
     rows = [rows[i] for i in order]
-    start_at = [[] for _ in range(positions)]
-    for i, r in enumerate(rows):
-        start_at[((r & -r).bit_length() - 1) // stride].append(i)
+    profile = _profile(rows, stride, positions, state_limit)
+
+    def ops(out=None):
+        start_at = [[] for _ in range(positions)]
+        for i, r in enumerate(rows):
+            start_at[((r & -r).bit_length() - 1) // stride].append(i)
+        pattern = (1 << stride) - 1
+        # State bit -> (-end position, row), ascending: the last to end
+        # holds bit 0 and the first to end the top bit.
+        active = []
+        for p in range(positions):
+            for i in start_at[p]:
+                key = (-((rows[i].bit_length() - 1) // stride), i)
+                b = bisect.bisect(active, key)
+                active.insert(b, key)
+                yield ("branch", i, b)
+            vs = [(rows[i] >> (stride * p)) & pattern for _, i in active]
+            yield ("emit", stride * p, pattern, _parity_row(vs, stride, out))
+            while active and active[-1][0] == -p:
+                yield ("merge", active.pop()[1])
+        if active:
+            raise AssertionError("rows still active after final position")
+
     # Weights stay within [-positions, positions]; see ``_sweep``.
-    yield (spread, [combos[i] for i in order],
-           np.int16 if positions < 1 << 15 else np.int32)
-
-    pattern = (1 << stride) - 1
-    # State bit -> (-end position, row), ascending: the last to end holds
-    # bit 0 and the first to end the top bit.
-    active = []
-    for p in range(positions):
-        for i in start_at[p]:
-            key = (-((rows[i].bit_length() - 1) // stride), i)
-            b = bisect.bisect(active, key)
-            active.insert(b, key)
-            if 1 << len(active) > state_limit:
-                raise TrellisLimitError(
-                    f"trellis needs 2^{len(active)} states at position "
-                    f"{p}, above the limit of {state_limit}")
-            yield ("branch", i, b)
-        vs = [(rows[i] >> (stride * p)) & pattern for _, i in active]
-        yield ("emit", stride * p, pattern, _parity_row(vs))
-        while active and active[-1][0] == -p:
-            yield ("merge", active.pop()[1])
-    if active:
-        raise AssertionError("rows still active after final position")
+    return (spread, [combos[i] for i in order],
+            np.int16 if positions < 1 << 15 else np.int32, profile, ops)
 
 
-def _sweep(ops, t: int, wtype, sels=None) -> int:
+# Up to this many weights, a branch copies over itself in one step.
+_SMALL_BRANCH = 1 << 12
+
+
+def _branch_in_place(wbuf, n: int, block: int) -> np.ndarray:
+    """Repeat each run of ``block`` weights in wbuf[:n] twice, into
+    wbuf[:2n], as ``repeat`` would, and return wbuf[:2n].
+
+    wbuf[n/2:n] goes to wbuf[n:2n] first, then wbuf[n/4:n/2] to
+    wbuf[n/2:n], and so on down: each copy reads just below where it
+    writes, so no two overlap.  The rest, one block or at most
+    ``_SMALL_BRANCH`` weights, is copied over itself, which numpy does
+    through a temporary of its size.
+    """
+    hi = n
+    while hi > block and hi > _SMALL_BRANCH:
+        lo = hi >> 1
+        wbuf[hi:2 * hi].reshape(-1, 2, block)[:] = \
+            wbuf[lo:hi].reshape(-1, 1, block)
+        hi = lo
+    if hi == block:
+        wbuf[hi:2 * hi] = wbuf[:hi]
+    else:
+        wbuf[:2 * hi].reshape(-1, 2, block)[:] = \
+            wbuf[:hi].reshape(-1, 1, block)
+    return wbuf[:2 * n]
+
+
+def _sweep(ops, t: int, wtype, sels=None, wbuf=None) -> int:
     """The least weight over the trellis ``ops`` at interleaved target t.
 
     The sweep adds weights in ``int16``, or ``int32`` from 2^15 positions
@@ -197,8 +274,21 @@ def _sweep(ops, t: int, wtype, sels=None) -> int:
     the merged row's coefficient is 1, against the lower half.  With
     ``sels`` given, appends each merge's choice ``W1 < W0`` (the top bit is
     1 where the upper half's state is strictly lighter) for a backtrace.
+
+    With ``wbuf``, a weights buffer of at least the peak state count, the
+    sweep is a streamed one (``coset_weight``): its rows are built in a
+    buffer of its own for every column, so a folded column compares into
+    its row, and the weights live in ``wbuf``, where a merge writes the
+    minimum over the lower half and a branch repeats in place
+    (``_branch_in_place``).  So it takes no column-sized temporary.
+    Without it, a folded column compares into a temporary, since a stored
+    trellis's rows are swept again (and read-only).
     """
-    W = np.zeros(1, dtype=wtype)
+    if wbuf is None:
+        W = np.zeros(1, dtype=wtype)
+    else:
+        W = wbuf[:1]
+        W[0] = 0
     offset = 0
     for op in ops:
         kind = op[0]
@@ -206,27 +296,39 @@ def _sweep(ops, t: int, wtype, sels=None) -> int:
             # A one-bit column costs b + (1 - 2b) * code at target bit
             # b: add the code, or subtract it and carry the 1 in a
             # shared offset.
+            code = op[3]
             if op[2] == 1:
                 if (t >> op[1]) & 1:
-                    W -= op[3]
+                    W -= code
                     offset += 1
                 else:
-                    W += op[3]
+                    W += code
+            elif wbuf is not None:  # a streamed row, rebuilt every column
+                W += np.not_equal(code, (t >> op[1]) & op[2],
+                                  out=code.view(np.bool_))
             else:
-                W += op[3] != (t >> op[1]) & op[2]
+                W += code != (t >> op[1]) & op[2]
         elif kind == "branch":
-            W = W.reshape(-1, 1 << op[2]).repeat(2, axis=0).ravel()
+            if wbuf is None:
+                W = W.reshape(-1, 1 << op[2]).repeat(2, axis=0).ravel()
+            else:
+                W = _branch_in_place(wbuf, len(W), 1 << op[2])
         else:  # merge: drop the top state bit, keeping 0 on ties
             h = len(W) >> 1
             W0 = W[:h]
             W1 = W[h:]
             if sels is not None:
                 sels.append(W1 < W0)
-            W = np.minimum(W0, W1)
+            if wbuf is None:
+                W = np.minimum(W0, W1)
+            else:
+                W = np.minimum(W0, W1, out=W0)
     return int(W[0]) + offset
 
 
-def _interleave(target: int, spread) -> int:
+def _interleave(target: int, width: int, spread) -> int:
+    if target >> width:  # a negative target shifts to -1
+        raise ValueError(f"target outside the coset's {width} bits")
     return target if spread is None else gather_bits(target, spread)
 
 
@@ -236,12 +338,18 @@ def coset_weight(gens, width: int, target: int, fold_shift: int | None = None,
 
     Equal to ``CosetTrellis(gens, width, fold_shift).minimize(target)[0]``,
     but the trellis is streamed through one weights-only sweep and never
-    stored, so memory follows the peak state count rather than the summed
-    states of every column.
+    stored.  The sweep owns two buffers of the peak state count, read from
+    the profile before any op: every column's parity row is built and
+    compared in one, and the weights live in the other.  So memory follows
+    the peak state count rather than the summed states of every column.
+    Raises ValueError for a target outside [0, 2^width).
     """
-    ops = _schedule(gens, width, fold_shift, state_limit)
-    spread, _, wtype = next(ops)
-    return _sweep(ops, _interleave(target, spread), wtype)
+    spread, _, wtype, profile, ops = _schedule(gens, width, fold_shift,
+                                              state_limit)
+    t = _interleave(target, width, spread)
+    peak = 1 << max(profile, default=0)
+    return _sweep(ops(np.empty(peak, dtype=np.uint8)), t, wtype,
+                  wbuf=np.empty(peak, dtype=wtype))
 
 
 class CosetTrellis:
@@ -263,20 +371,24 @@ class CosetTrellis:
     min of the weight array's two contiguous halves, and a new row's bit
     is inserted at its count.  A column stores one ``uint8`` per state,
     the parity of the state's rows at each target bit there (bit s for
-    target bit s).  The row is built by doubling over the state bits
-    (``_parity_row``): with v_b the bit (or bit pair) at the column of the
-    row on state bit b, the states 2^b..2^(b+1)-1 read the states below
-    2^b XORed with v_b, so each state is written once.  The layout permutes
-    storage only: the merge sequence, and with it every tie-break, is that
-    of any other layout.
+    target bit s).  The row is built by ``_parity_row``: with v_b the bit
+    (or bit pair) at the column of the row on state bit b, the states
+    below 2^8 read the parity table ``_PARITY``, and the states
+    2^b..2^(b+1)-1 read the states below 2^b XORed with v_b, so each state
+    is written once.  The stored rows are read-only, since every
+    ``minimize`` sweeps them again: a Pauli-folded column compares into a
+    temporary, never into its row.  The layout permutes storage only: the
+    merge sequence, and with it every tie-break, is that of any other
+    layout.
     """
 
     def __init__(self, gens, width: int, fold_shift: int | None = None,
                  state_limit: int = 1 << 22):
         self.fold_shift = fold_shift
-        ops = _schedule(gens, width, fold_shift, state_limit)
-        self._spread, self.combos, self._wtype = next(ops)
-        self.schedule = list(ops)
+        self._width = width
+        self._spread, self.combos, self._wtype, _, ops = _schedule(
+            gens, width, fold_shift, state_limit)
+        self.schedule = list(ops())
         # The backtrace's ops, last first: (state bit, combo mask) for a
         # branch, (state bit, None) for a merge, which restores the top bit
         # of the width it merged.
@@ -289,14 +401,18 @@ class CosetTrellis:
             elif op[0] == "merge":
                 bits -= 1
                 self._trace.append((bits, None))
+            else:  # swept for every target, so never compared in place
+                op[3].flags.writeable = False
         self._trace.reverse()
 
     # -- queries ----------------------------------------------------------
 
     def minimize(self, target: int):
-        """(weight, combo mask over the original generators)."""
+        """(weight, combo mask over the original generators).  Raises
+        ValueError for a target outside [0, 2^width)."""
         sels = []
-        weight = _sweep(self.schedule, _interleave(target, self._spread),
+        weight = _sweep(self.schedule,
+                        _interleave(target, self._width, self._spread),
                         self._wtype, sels)
 
         # Backtrace: a merge sets the top bit of its width from its choice,

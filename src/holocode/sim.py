@@ -224,13 +224,17 @@ def _worker_chunk(args, decoder=None):
                          range(lo, hi), seed)
 
 
-def _check_run(code: HolographicCode, target_qubit: int, m: int, weights):
-    """Raise ValueError, before any trial, for a target qubit, trial count
-    or weight schedule (``simulate_code``'s, or a list) a run cannot use."""
+def _check_run(code: HolographicCode, target_qubit: int, m: int, weights,
+               threads: int = 1):
+    """Raise ValueError, before any trial, for a target qubit, trial count,
+    weight schedule (``simulate_code``'s, or a list) or worker count a run
+    cannot use."""
     if not 0 <= target_qubit < code.k:
         raise ValueError(f"target qubit {target_qubit} outside 0..{code.k - 1}")
     if m < 1:
         raise ValueError("need at least one trial per weight")
+    if threads < 1:
+        raise ValueError(f"need at least one worker, got threads={threads}")
     if isinstance(weights, str):
         if weights in ("all", "auto"):
             return
@@ -262,13 +266,14 @@ def simulate_code(code: HolographicCode, target_qubit: int = 0,
     ``weights`` is "all" (every 0..n), "auto" (all for n <= 50, else an
     adaptive grid refined where the curve is steep), or an explicit
     non-empty list of weights in 0..n; anything else raises ValueError
-    before any trial.  Deterministic for fixed seed independent of
-    ``threads``.  ``threads`` > 1 decodes in that many worker processes;
-    only then is ``concurrent.futures``' process pool imported.
+    before any trial, as does ``threads`` below 1.  Deterministic for fixed
+    seed independent of ``threads``.  ``threads`` > 1 decodes in that many
+    worker processes; only then is ``concurrent.futures``' process pool
+    imported.
     """
     if not isinstance(weights, str):
         weights = sorted(set(weights))
-    _check_run(code, target_qubit, trials_per_weight, weights)
+    _check_run(code, target_qubit, trials_per_weight, weights, threads)
     n = code.n
     curve = FailureCurve(code.family, code.variant, code.radius, n, code.k,
                          target_qubit, seed)

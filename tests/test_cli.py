@@ -449,6 +449,28 @@ def test_simulate_weight_past_n_exits_before_decoding(tmp_path, monkeypatch,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--threads", "0"], None),
+    (["--threads", "-3"], None),
+    ([], "0"),
+], ids=["zero", "negative", "env-zero"])
+def test_simulate_worker_count_below_one_is_bad_input(tmp_path, monkeypatch,
+                                                      capsys, flags, env):
+    def no_decoding(*args):
+        raise AssertionError("decoded a trial")
+
+    if env is not None:
+        monkeypatch.setenv("HOLOCODE_THREADS", env)
+    monkeypatch.setattr(CodeDecoder, "decode", no_decoding)
+    out = str(tmp_path / "c.csv")
+    rc, stdout, stderr = run(["simulate", "--family", "heptagon", "--variant",
+                              "max", "--radius", "1", "--weights", "0,1",
+                              "--out", out, *flags], capsys)
+    assert rc == 4
+    assert stdout == "" and "at least one worker" in stderr
+    assert not os.path.exists(out)
+
+
 def test_non_integer_threads_env_is_bad_input(monkeypatch, capsys):
     monkeypatch.setenv("HOLOCODE_THREADS", "abc")
     rc, stdout, stderr = run(["verify"], capsys)

@@ -2,18 +2,22 @@
 
 import hashlib
 import random
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holocode import decoder
 from holocode.builder import build_code
 from holocode.decoder import (
     CodeDecoder,
     CosetTrellis,
     TrellisLimitError,
+    _branch_in_place,
     _minimal_span,
+    _schedule,
     coset_sectors,
     coset_weight,
     pure_error,
@@ -278,7 +282,7 @@ def parity_row_problems(draw):
     return gens, width, fold
 
 
-# Peaks of 10 state bits, above the rows' 8-bit Python table: a Hamming
+# Peaks of 10 state bits, above the 8-bit parity table: a Hamming
 # sector, and a folded one whose rows reach from x on one qubit to z on
 # another (and back).
 WIDE_HAMMING = ([(1 << i) | (1 << (i + 10)) for i in range(10)], 20, None)
@@ -406,6 +410,138 @@ def test_coset_weight_equals_trellis_minimum(problem):
     assert coset_weight(problem.gens, problem.width, problem.target,
                         fold_shift=problem.fold_shift) \
         == trellis.minimize(problem.target)[0]
+
+
+@pytest.mark.parametrize("bits", [0, 3, 12, 13, 16])
+def test_branch_in_place_equals_repeat(bits):
+    # From 2^13 weights on, the upper halves are copied without overlap.
+    rng = np.random.default_rng(bits)
+    w = rng.integers(-500, 500, 1 << bits).astype(np.int16)
+    for b in range(bits + 1):
+        wbuf = rng.integers(-500, 500, 2 << bits).astype(np.int16)
+        wbuf[:len(w)] = w
+        want = w.reshape(-1, 1 << b).repeat(2, axis=0).ravel()
+        assert np.array_equal(_branch_in_place(wbuf, len(w), 1 << b), want)
+
+
+@pytest.mark.parametrize("gens, width, target, fold", [
+    ([0b11], 2, 0b100, None),  # a bit at the width
+    ([0b11], 2, -1, None),
+    ([0b0101], 4, 0b10000, 2),  # folded: a bit past the z half
+], ids=["past-width", "negative", "folded-past-width"])
+def test_target_outside_width_raises(gens, width, target, fold):
+    with pytest.raises(ValueError, match="target outside"):
+        coset_weight(gens, width, target, fold_shift=fold)
+    with pytest.raises(ValueError, match="target outside"):
+        CosetTrellis(gens, width, fold).minimize(target)
+
+
+def test_streamed_sweeps_own_their_buffers(monkeypatch):
+    """Two ``coset_weight`` sweeps advanced alternately, op by op: each
+    builds its next op, the other builds and sweeps one of its own, and
+    only then does the first sweep its op.  Rows or weights shared between
+    the sweeps would reach the wrong one."""
+    problems = []
+    for spec, rows in ((("pentagon", "zero", 3), "bit"),  # folded, 14 bits
+                       (("heptagon", "max", 3), "word")):  # 9 bits
+        s = coset_sectors(build_code(*spec))[0]
+        gens = list(s.stabilizers)
+        if rows == "word":
+            gens += [r for qubit_rows in s.logicals[1:] for r in qubit_rows]
+        problems.append((gens, s.width, s.logicals[0][0], s.fold))
+    alone = [coset_weight(*p) for p in problems]
+    assert alone[0] != alone[1]
+
+    turn = [threading.Semaphore(1), threading.Semaphore(0)]
+    finished = [False, False]
+    me = threading.local()
+    real = decoder._schedule
+
+    def handing_over(i, ops):
+        turn[i].acquire()
+        try:
+            for op in ops:  # builds this op's row
+                turn[1 - i].release()
+                if not finished[1 - i]:
+                    turn[i].acquire()
+                yield op
+        finally:
+            finished[i] = True
+            turn[1 - i].release()
+
+    def schedule(*args):
+        *head, ops = real(*args)
+        return (*head, lambda out=None: handing_over(me.i, ops(out)))
+
+    monkeypatch.setattr(decoder, "_schedule", schedule)
+    got = [None, None]
+
+    def solve(i):
+        me.i = i
+        got[i] = coset_weight(*problems[i])
+
+    threads = [threading.Thread(target=solve, args=(i,), daemon=True)
+               for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == alone
+
+
+@pytest.mark.parametrize("spec", sorted(EMIT_DIGESTS))
+def test_stored_rows_stay_read_only(spec):
+    """A decoder sweeps its stored rows again for every target, so none may
+    take a folded column's compare in place: every row is read-only, and
+    200 ``minimize`` calls per trellis leave the emit digest unchanged."""
+    code = build_code(*spec)
+    trellises = [trellis for _, _, trellis, *_ in CodeDecoder(code)._sectors]
+    rows = [op[3] for t in trellises for op in t.schedule if op[0] == "emit"]
+    assert not any(row.flags.writeable for row in rows)
+    rng = random.Random(5)
+    for trellis in trellises:
+        for _ in range(200):
+            trellis.minimize(rng.getrandbits(2 * code.n if trellis.fold_shift
+                                             else code.n))
+    h = hashlib.sha256()
+    for trellis in trellises:
+        for op in trellis.schedule:
+            if op[0] == "emit":
+                _, shift, pattern, code_row = op
+                k = code_row.size.bit_length() - 1
+                h.update(f"{shift},{pattern},{code_row.dtype.str}:".encode())
+                h.update(code_row.reshape((2,) * k).T.tobytes())
+    assert h.hexdigest() == EMIT_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("family,variant", sorted(SUPPORTED))
+def test_state_profile_equals_built_trellis(family, variant):
+    """The profile that ``_schedule`` reads from the rows' spans equals the
+    state bits at every emit of the ops it builds, and the rows' sizes sum
+    to its summed states; the peak sizes the row buffer they are built in.
+    Decoder rows and qubit 0's bit and word distance rows, R=1 to 4."""
+    for radius in range(1, 5):
+        for s in coset_sectors(build_code(family, variant, radius)):
+            stabs = list(s.stabilizers)
+            logicals = [r for rows in s.logicals for r in rows]
+            others = [r for rows in s.logicals[1:] for r in rows]
+            for gens in (stabs + logicals, stabs, stabs + others):
+                *_, profile, ops = _schedule(gens, s.width, s.fold, 1 << 22)
+                buf = np.empty(1 << max(profile, default=0), dtype=np.uint8)
+                bits = states = 0
+                built = []
+                for op in ops(buf):
+                    if op[0] == "branch":
+                        bits += 1
+                    elif op[0] == "merge":
+                        bits -= 1
+                    else:
+                        assert op[3].size == 1 << bits
+                        built.append(bits)
+                        states += op[3].size
+                assert built == profile
+                assert states == sum(1 << b for b in profile)
 
 
 # -- error sectors -------------------------------------------------------------

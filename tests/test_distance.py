@@ -83,7 +83,8 @@ def test_non_css_distances_with_many_logicals_match_milp():
 def test_bit_distance_streams_its_trellis():
     # pentagon/zero R=4 sweeps 2^20 states at its peak.  A stored
     # trellis keeps a parity byte per state and column, 78 MiB here; the
-    # streamed sweep holds about 4.5 MiB.
+    # streamed sweep holds one row buffer (a byte per peak state) and one
+    # weights buffer (two), about 3.2 MiB.
     code = build_code("pentagon", "zero", 4)
     tracemalloc.start()
     try:

@@ -137,6 +137,14 @@ def test_weight_outside_range_raises_before_decoding(monkeypatch, bad):
         run_trials(code, 0, bad, 5, seed=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_worker_count_below_one_raises_before_decoding(monkeypatch, threads):
+    monkeypatch.setattr(CodeDecoder, "decode", _no_decoding)
+    with pytest.raises(ValueError, match="at least one worker"):
+        simulate_code(build_code("heptagon", "max", 1), trials_per_weight=5,
+                      weights=[1], threads=threads)
+
+
 def test_binomial_mix_analytic_cases():
     n = 9
     zero = [WeightRecord(a, 100, 0) for a in range(n + 1)]
